@@ -109,8 +109,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 		if rec := sst.Recovery(); rec.Recovered() {
-			fmt.Fprintf(stdout, "nokserve: recovered store at open: journal_replayed=%v journal_discarded=%v truncated=%d orphans_removed=%d\n",
-				rec.JournalReplayed, rec.JournalDiscarded, len(rec.TruncatedFiles), len(rec.OrphansRemoved))
+			fmt.Fprintf(stdout, "nokserve: recovered store at open: truncated=%d orphans_removed=%d\n",
+				len(rec.TruncatedFiles), len(rec.OrphansRemoved))
 		}
 		st = sst
 	}

@@ -251,8 +251,9 @@ func TestMissingValuesFile(t *testing.T) {
 	}
 }
 
-// TestRecoveryAfterFailedUpdate: a mid-update failure leaves a journal;
-// reopening rolls back to the committed pre-update state.
+// TestUpdateEpochSwitch: an insert commits a new epoch whose files the
+// manifest resolves on reopen, with no recovery action and the previous
+// epoch's files swept.
 func TestUpdateEpochSwitch(t *testing.T) {
 	dir := buildDir(t)
 	db, err := Open(dir, nil)

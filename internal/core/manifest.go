@@ -44,7 +44,6 @@ import (
 	"regexp"
 
 	"nok/internal/obs"
-	"nok/internal/pager"
 	"nok/internal/vfs"
 )
 
@@ -101,8 +100,6 @@ var (
 
 // Recovery counters, exposed through /metrics and nokstat.
 var (
-	mRecReplays   = obs.Default.Counter("nok_recovery_journal_replays_total", "undo journals rolled back at open")
-	mRecDiscards  = obs.Default.Counter("nok_recovery_journal_discards_total", "undo journals discarded at open (commit had completed)")
 	mRecTruncates = obs.Default.Counter("nok_recovery_truncations_total", "file tails truncated back to the committed length at open")
 	mRecOrphans   = obs.Default.Counter("nok_recovery_orphans_removed_total", "orphaned epoch/tmp files swept at open")
 	mRecOpens     = obs.Default.Counter("nok_recovery_opens_total", "opens that performed at least one recovery action")
@@ -124,12 +121,6 @@ type Manifest struct {
 
 // RecoveryInfo reports what Open had to repair to reach a committed state.
 type RecoveryInfo struct {
-	// JournalReplayed: an undo journal from an uncommitted update was
-	// rolled back.
-	JournalReplayed bool
-	// JournalDiscarded: a journal whose commit had completed (or whose
-	// header never became durable) was removed.
-	JournalDiscarded bool
 	// TruncatedFiles lists files whose uncommitted tails were cut off.
 	TruncatedFiles []string
 	// OrphansRemoved lists swept leftover files (stale epochs, tmp files).
@@ -138,7 +129,7 @@ type RecoveryInfo struct {
 
 // Recovered reports whether any recovery action ran.
 func (r RecoveryInfo) Recovered() bool {
-	return r.JournalReplayed || r.JournalDiscarded || len(r.TruncatedFiles) > 0 || len(r.OrphansRemoved) > 0
+	return len(r.TruncatedFiles) > 0 || len(r.OrphansRemoved) > 0
 }
 
 // epochFileName returns the physical name for an epoch-switched role.
@@ -276,22 +267,6 @@ func recoverStore(fsys vfs.FS, dir string) (*Manifest, RecoveryInfo, error) {
 	m, err := readManifest(fsys, dir)
 	if err != nil {
 		return nil, info, err
-	}
-	treePath := filepath.Join(dir, m.Files[roleTree].Name)
-
-	// Format 3 stores never write an undo journal (tree.pg is
-	// copy-on-write), but a stray journal left behind by older tooling
-	// protects nothing and would confuse a later downgrade — discard it.
-	_, exists, _, err := pager.InspectJournal(fsys, treePath)
-	if err != nil {
-		return nil, info, fmt.Errorf("core: inspecting journal: %w", err)
-	}
-	if exists {
-		if err := pager.DiscardJournal(fsys, treePath); err != nil {
-			return nil, info, fmt.Errorf("core: discarding journal: %w", err)
-		}
-		info.JournalDiscarded = true
-		mRecDiscards.Inc()
 	}
 
 	// Check every committed file's length; cut uncommitted tails off the

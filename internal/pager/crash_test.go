@@ -2,15 +2,11 @@ package pager
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
-
-	"nok/internal/vfs"
 )
 
 // fillPage writes a recognizable pattern into a fresh page and returns its id.
@@ -28,16 +24,6 @@ func fillPage(t *testing.T, pf *File, tag string) PageID {
 	id := p.ID()
 	pf.Unpin(p)
 	return id
-}
-
-func pagePrefix(t *testing.T, pf *File, id PageID, n int) string {
-	t.Helper()
-	p, err := pf.Get(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pf.Unpin(p)
-	return string(p.Data()[:n])
 }
 
 func TestChecksumDetectsFlippedPayloadByte(t *testing.T) {
@@ -143,237 +129,5 @@ func TestVerifyPagesReportsDamage(t *testing.T) {
 	}
 	if len(bad) != 1 || bad[0] != ids[2] {
 		t.Errorf("damaged pages reported: %v, want [%d]", bad, ids[2])
-	}
-}
-
-// TestJournalRollsBackUncommittedUpdate is the core undo-journal contract:
-// crash after data writes but before commit → ReplayJournal restores the
-// exact pre-transaction image.
-func TestJournalRollsBackUncommittedUpdate(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "j.pg")
-	pf, err := Create(path, &Options{PageSize: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := fillPage(t, pf, "before-a")
-	b := fillPage(t, pf, "before-b")
-	if err := pf.SetMeta([]byte("m1")); err != nil {
-		t.Fatal(err)
-	}
-	if err := pf.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	preImage, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Open a transaction, overwrite both pages and the meta, allocate a
-	// third, flush everything... then "crash" (close without commit).
-	if err := pf.BeginUpdate(7); err != nil {
-		t.Fatal(err)
-	}
-	for _, id := range []PageID{a, b} {
-		p, err := pf.Get(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		copy(p.Data(), "after--x")
-		p.MarkDirty()
-		pf.Unpin(p)
-	}
-	fillPage(t, pf, "new-page")
-	if err := pf.SetMeta([]byte("m2")); err != nil {
-		t.Fatal(err)
-	}
-	if err := pf.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := pf.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// The journal survives and Open refuses until it is resolved.
-	if _, err := Open(path, &Options{PageSize: 256}); !errors.Is(err, ErrJournalPresent) {
-		t.Fatalf("Open with live journal: err = %v, want ErrJournalPresent", err)
-	}
-	tag, exists, ok, err := InspectJournal(vfs.OS, path)
-	if err != nil || !exists || !ok || tag != 7 {
-		t.Fatalf("InspectJournal = (%d, %v, %v, %v), want (7, true, true, nil)", tag, exists, ok, err)
-	}
-
-	if err := ReplayJournal(vfs.OS, path); err != nil {
-		t.Fatal(err)
-	}
-	postImage, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(preImage, postImage) {
-		t.Fatalf("rollback did not restore the pre-transaction image (pre %d bytes, post %d bytes)", len(preImage), len(postImage))
-	}
-
-	pf, err = Open(path, &Options{PageSize: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pf.Close()
-	if got := pagePrefix(t, pf, a, 8); got != "before-a" {
-		t.Errorf("page a after rollback: %q", got)
-	}
-	if got := string(pf.Meta()); got != "m1" {
-		t.Errorf("meta after rollback: %q", got)
-	}
-	if pf.NumPages() != 2 {
-		t.Errorf("NumPages after rollback = %d, want 2", pf.NumPages())
-	}
-}
-
-func TestJournalCommitDiscardsJournal(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "jc.pg")
-	pf, err := Create(path, &Options{PageSize: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := fillPage(t, pf, "before-a")
-	if err := pf.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := pf.BeginUpdate(3); err != nil {
-		t.Fatal(err)
-	}
-	p, err := pf.Get(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	copy(p.Data(), "after--a")
-	p.MarkDirty()
-	pf.Unpin(p)
-	if err := pf.CommitUpdate(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(JournalPath(path)); !os.IsNotExist(err) {
-		t.Errorf("journal still present after commit (err=%v)", err)
-	}
-	if err := pf.Close(); err != nil {
-		t.Fatal(err)
-	}
-	pf, err = Open(path, &Options{PageSize: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pf.Close()
-	if got := pagePrefix(t, pf, a, 8); got != "after--a" {
-		t.Errorf("page a after commit: %q", got)
-	}
-}
-
-// TestJournalTornHeaderDiscarded: a crash inside BeginUpdate leaves a
-// half-written journal header; since data writes are ordered after the
-// header fsync, the file is untouched and the journal must be discarded.
-func TestJournalTornHeaderDiscarded(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "jt.pg")
-	pf, err := Create(path, &Options{PageSize: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fillPage(t, pf, "stable")
-	if err := pf.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Fabricate a torn header: half the magic, nothing else.
-	if err := os.WriteFile(JournalPath(path), []byte("NK"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, exists, ok, err := InspectJournal(vfs.OS, path)
-	if err != nil || !exists || ok {
-		t.Fatalf("InspectJournal on torn header = (exists=%v, ok=%v, err=%v), want (true, false, nil)", exists, ok, err)
-	}
-	if err := ReplayJournal(vfs.OS, path); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(JournalPath(path)); !os.IsNotExist(err) {
-		t.Errorf("torn journal not discarded (err=%v)", err)
-	}
-	pf, err = Open(path, &Options{PageSize: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pf.Close()
-}
-
-// TestJournalTornEntryReplaysPrefix: a crash mid-append leaves a torn last
-// entry; replay must apply the intact prefix and ignore the tail.
-func TestJournalTornEntryReplaysPrefix(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "jp.pg")
-	pf, err := Create(path, &Options{PageSize: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := fillPage(t, pf, "before-a")
-	b := fillPage(t, pf, "before-b")
-	if err := pf.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := pf.BeginUpdate(9); err != nil {
-		t.Fatal(err)
-	}
-	for _, id := range []PageID{a, b} {
-		p, err := pf.Get(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		copy(p.Data(), "after--x")
-		p.MarkDirty()
-		pf.Unpin(p)
-	}
-	if err := pf.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if err := pf.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Tear the last journal entry's trailing checksum. Entry order follows
-	// flush order, so read the first (intact) entry's page id from the
-	// journal itself rather than assuming which of a/b it is.
-	jraw, err := os.ReadFile(JournalPath(path))
-	if err != nil {
-		t.Fatal(err)
-	}
-	firstID := PageID(binary.BigEndian.Uint32(jraw[journalHeaderLen : journalHeaderLen+4]))
-	if firstID != a && firstID != b {
-		t.Fatalf("first journal entry is for page %d, not one of the overwritten pages", firstID)
-	}
-	if err := os.WriteFile(JournalPath(path), jraw[:len(jraw)-2], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := ReplayJournal(vfs.OS, path); err != nil {
-		t.Fatal(err)
-	}
-	pf, err = Open(path, &Options{PageSize: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer pf.Close()
-	// The page behind the intact first entry must be rolled back; the page
-	// whose entry was torn keeps whichever image is on disk — its data
-	// write cannot have happened before the entry was synced, so at pager
-	// level the only guarantee is: intact entries are restored.
-	if got := pagePrefix(t, pf, firstID, 8); !strings.HasPrefix(got, "before-") {
-		t.Errorf("page %d after prefix replay: %q, want a pre-image", firstID, got)
-	}
-}
-
-func TestBeginUpdateTwiceRejected(t *testing.T) {
-	pf := newFile(t, &Options{PageSize: 256})
-	if err := pf.BeginUpdate(1); err != nil {
-		t.Fatal(err)
-	}
-	if err := pf.BeginUpdate(2); !errors.Is(err, ErrInTx) {
-		t.Errorf("second BeginUpdate: err = %v, want ErrInTx", err)
-	}
-	if err := pf.CommitUpdate(); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -24,13 +24,12 @@
 //
 // # Crash safety
 //
-// In-place page updates can be wrapped in an undo-journal transaction
-// (BeginUpdate / CommitUpdate): before a committed page is first
-// overwritten, its on-disk pre-image is appended to a side journal and
-// fsynced. A crash between BeginUpdate and CommitUpdate leaves the journal
-// behind; ReplayJournal restores every journaled pre-image, the old header,
-// and the old file length — returning the file to its pre-transaction
-// state. See journal.go.
+// A file that is updated after it commits runs in versioned mode
+// (versions.go): a copy-on-write transaction (BeginCOW … SealCOW /
+// Publish) relocates every page it touches, so a committed page is never
+// overwritten and a crash leaves the previous version intact. Plain files
+// are written once and committed whole by their owner (internal/core's
+// manifest).
 //
 // The pool counts physical reads, physical writes and cache hits. Those
 // counters are how the benchmark harness verifies the paper's Proposition 1
@@ -102,12 +101,8 @@ var (
 	// payload — a torn write or bit rot. It is wrapped with the page id
 	// and file path.
 	ErrChecksum = errors.New("pager: page checksum mismatch")
-	// ErrJournalPresent is returned by Open when an undo journal exists
-	// next to the file: a transaction crashed mid-flight and the caller
-	// must decide (ReplayJournal or DiscardJournal) before opening.
-	ErrJournalPresent = errors.New("pager: undo journal present (crashed transaction; replay or discard it before opening)")
-	// ErrInTx is returned when BeginUpdate is called while a transaction
-	// is already open.
+	// ErrInTx is returned when BeginCOW is called while a copy-on-write
+	// transaction is already open.
 	ErrInTx = errors.New("pager: update transaction already open")
 )
 
@@ -181,7 +176,6 @@ func (p *Page) MarkDirty() { p.dirty = true }
 type File struct {
 	mu sync.Mutex
 
-	fsys     vfs.FS
 	f        vfs.File
 	path     string
 	pageSize int
@@ -200,10 +194,6 @@ type File struct {
 	// scratch is the physical-page staging buffer (payload + trailer).
 	// All physical I/O happens under mu, so one buffer per file suffices.
 	scratch []byte
-
-	// tx is the open undo-journal transaction, nil outside BeginUpdate /
-	// CommitUpdate.
-	tx *journalTx
 
 	// vs is non-nil when the file runs in versioned (multi-version
 	// copy-on-write) mode; see versions.go.
@@ -254,7 +244,6 @@ func Create(path string, opts *Options) (*File, error) {
 		return nil, err
 	}
 	pf := &File{
-		fsys:     o.FS,
 		f:        f,
 		path:     path,
 		pageSize: o.PageSize,
@@ -272,22 +261,14 @@ func Create(path string, opts *Options) (*File, error) {
 	return pf, nil
 }
 
-// Open opens an existing paged file. If an undo journal from a crashed
-// transaction exists next to the file, Open refuses with ErrJournalPresent:
-// the caller must ReplayJournal (roll back) or DiscardJournal (the commit
-// completed) first — only the caller knows which, by comparing the
-// journal's tag against its own commit record.
+// Open opens an existing paged file.
 func Open(path string, opts *Options) (*File, error) {
 	o := opts.withDefaults()
-	if _, err := o.FS.Stat(JournalPath(path)); err == nil {
-		return nil, fmt.Errorf("%w: %s", ErrJournalPresent, JournalPath(path))
-	}
 	f, err := o.FS.OpenFile(path, os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, err
 	}
 	pf := &File{
-		fsys: o.FS,
 		f:    f,
 		path: path,
 		pool: make(map[PageID]*Page),
@@ -533,14 +514,6 @@ func (pf *File) evictOne() error {
 }
 
 func (pf *File) writePage(p *Page) error {
-	if pf.tx != nil {
-		if err := pf.tx.ensureJournaled(pf, p.id); err != nil {
-			return err
-		}
-		if err := pf.tx.flush(pf); err != nil {
-			return err
-		}
-	}
 	if err := pf.writePhysical(p.id, p.data); err != nil {
 		return err
 	}
@@ -727,20 +700,6 @@ func (pf *File) Flush() error {
 }
 
 func (pf *File) flushLocked() error {
-	// Under a transaction, journal every dirty page's pre-image first so
-	// the whole batch costs one journal fsync instead of one per page.
-	if pf.tx != nil {
-		for _, p := range pf.pool {
-			if p.dirty {
-				if err := pf.tx.ensureJournaled(pf, p.id); err != nil {
-					return err
-				}
-			}
-		}
-		if err := pf.tx.flush(pf); err != nil {
-			return err
-		}
-	}
 	for _, p := range pf.pool {
 		if p.dirty {
 			if err := pf.writePage(p); err != nil {
@@ -748,11 +707,10 @@ func (pf *File) flushLocked() error {
 			}
 		}
 	}
-	// A versioned file never rewrites its header page: there is no undo
-	// journal to roll back a torn in-place write, and nothing in the header
-	// is mutable in versioned mode anyway — meta lives in the version
-	// sidecar and the page count is re-derived from the file size at
-	// InstallVersion.
+	// A versioned file never rewrites its header page: nothing could roll
+	// back a torn in-place write, and nothing in the header is mutable in
+	// versioned mode anyway — meta lives in the version sidecar and the
+	// page count is re-derived from the file size at InstallVersion.
 	if pf.headerDirty && pf.vs == nil {
 		if err := pf.writeHeader(); err != nil {
 			return err
@@ -780,12 +738,6 @@ func (pf *File) Close() error {
 	}
 	pf.closed = true
 	err := pf.f.Close()
-	if pf.tx != nil {
-		// Closing with an open transaction keeps the journal on disk: the
-		// next Open sees ErrJournalPresent and the owner rolls back.
-		pf.tx.jf.Close()
-		pf.tx = nil
-	}
 	if pinned > 0 && err == nil {
 		err = fmt.Errorf("pager: closed with %d pinned page(s)", pinned)
 	}

@@ -130,7 +130,7 @@ func (pf *File) InitVersioning() error {
 	if pf.vs != nil {
 		return fmt.Errorf("pager: %s already versioned", pf.path)
 	}
-	if pf.numPages != 0 || pf.tx != nil {
+	if pf.numPages != 0 {
 		return fmt.Errorf("pager: InitVersioning requires a fresh empty file")
 	}
 	pf.vs = &verState{

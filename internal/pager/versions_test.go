@@ -267,9 +267,15 @@ func TestInstallVersionDerivesFreeList(t *testing.T) {
 	}
 }
 
-func TestVersionedRefusesJournal(t *testing.T) {
+func TestBeginCOWTwiceRejected(t *testing.T) {
 	pf, _ := newVersioned(t, 1)
-	if err := pf.BeginUpdate(7); err == nil {
-		t.Fatal("BeginUpdate on a versioned file should fail")
+	if err := pf.BeginCOW(2); err != nil {
+		t.Fatal(err)
+	}
+	if err := pf.BeginCOW(3); !errors.Is(err, ErrInTx) {
+		t.Errorf("second BeginCOW: err = %v, want ErrInTx", err)
+	}
+	if err := pf.AbortCOW(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -6,7 +6,6 @@ package server
 
 import (
 	"context"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -52,17 +51,17 @@ func (f *faultBackend) QueryAnalyze(expr string, opts *nok.QueryOptions) ([]nok.
 	rs, st, err := f.QueryWithOptionsContext(context.Background(), expr, opts)
 	return rs, st, "", err
 }
-func (f *faultBackend) Plan(expr string) (string, error)           { return "", nil }
-func (f *faultBackend) Value(id string) (string, bool, error)      { return "", false, nil }
-func (f *faultBackend) Insert(parent string, frag io.Reader) error { return nil }
-func (f *faultBackend) Delete(id string) error                     { return nil }
-func (f *faultBackend) Stats() nok.Stats                           { return nok.Stats{} }
-func (f *faultBackend) NodeCount() uint64                          { return 1 }
-func (f *faultBackend) Generation() uint64                         { return 1 }
-func (f *faultBackend) Epoch() uint64                              { return 1 }
-func (f *faultBackend) Synopsis(n int) nok.SynopsisInfo            { return nok.SynopsisInfo{} }
-func (f *faultBackend) Verify(deep bool) *nok.VerifyResult         { return &nok.VerifyResult{} }
-func (f *faultBackend) Close() error                               { return nil }
+func (f *faultBackend) Plan(expr string) (string, error)                { return "", nil }
+func (f *faultBackend) Value(id string) (string, bool, error)           { return "", false, nil }
+func (f *faultBackend) InsertBatch(parent string, frags [][]byte) error { return nil }
+func (f *faultBackend) Delete(id string) error                          { return nil }
+func (f *faultBackend) Stats() nok.Stats                                { return nok.Stats{} }
+func (f *faultBackend) NodeCount() uint64                               { return 1 }
+func (f *faultBackend) Generation() uint64                              { return 1 }
+func (f *faultBackend) Epoch() uint64                                   { return 1 }
+func (f *faultBackend) Synopsis(n int) nok.SynopsisInfo                 { return nok.SynopsisInfo{} }
+func (f *faultBackend) Verify(deep bool) *nok.VerifyResult              { return &nok.VerifyResult{} }
+func (f *faultBackend) Close() error                                    { return nil }
 
 func newFaultServer(t *testing.T, f *faultBackend, cfg Config) string {
 	t.Helper()

@@ -11,26 +11,6 @@ import (
 	"nok/internal/telemetry"
 )
 
-// batchInserter is the optional Backend refinement POST /ingest needs: a
-// whole slice of fragments landing as one committed epoch. Both nok.Store
-// and shard.Store provide it; a backend without it gets a 501 so clients
-// can fall back to per-document POST /insert.
-type batchInserter interface {
-	InsertBatch(parentID string, frags [][]byte) error
-}
-
-// ingestTarget glues a batching Backend to the pipeline's Target surface.
-type ingestTarget struct {
-	bi batchInserter
-	be Backend
-}
-
-func (t ingestTarget) InsertBatch(parentID string, frags [][]byte) error {
-	return t.bi.InsertBatch(parentID, frags)
-}
-
-func (t ingestTarget) Epoch() uint64 { return t.be.Epoch() }
-
 type ingestResponse struct {
 	OK   bool `json:"ok"`
 	Docs int  `json:"docs"`
@@ -59,10 +39,6 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	defer s.wg.Done()
 	if s.refuseMutation(w) {
-		return
-	}
-	if s.ingest == nil {
-		writeError(w, http.StatusNotImplemented, "backend does not support batched ingest; use POST /insert")
 		return
 	}
 
@@ -159,10 +135,9 @@ func (s *Server) handleDebugIngest(w http.ResponseWriter, r *http.Request) {
 			n = k
 		}
 	}
-	resp := debugIngestResponse{Recent: telemetry.Default.IngestRecent(n)}
-	if s.ingest != nil {
-		resp.Stats = s.ingest.Stats()
-		resp.Pending = s.ingest.Pending()
-	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, debugIngestResponse{
+		Stats:   s.ingest.Stats(),
+		Pending: s.ingest.Pending(),
+		Recent:  telemetry.Default.IngestRecent(n),
+	})
 }

@@ -158,6 +158,7 @@ func TestIngestBackpressure429(t *testing.T) {
 // in-flight budget. Submit would admit it into an empty pipeline, so the
 // splitter's per-document cap must refuse it (413) before it buffers —
 // otherwise one request bypasses backpressure with unbounded memory.
+// POST /insert buffers its one fragment whole, so it takes the same cap.
 func TestIngestOversizedDoc413(t *testing.T) {
 	_, ts := newTestServer(t, "<lib></lib>", Config{
 		Ingest: ingest.Options{MaxPending: 256},
@@ -170,6 +171,11 @@ func TestIngestOversizedDoc413(t *testing.T) {
 	}
 	if !strings.Contains(er.Error, "too large") {
 		t.Fatalf("413 body: %+v", er)
+	}
+	resp, done := doReq(t, http.MethodPost, ts.URL+"/insert?parent=0", huge)
+	done()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized /insert fragment: status %d, want 413", resp.StatusCode)
 	}
 	// The store took nothing.
 	var qr queryResponse

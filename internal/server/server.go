@@ -18,7 +18,7 @@
 //	GET    /explain?q=EXPR[&analyze=1]
 //	GET    /plan?q=EXPR
 //	GET    /value/{id}
-//	POST   /insert?parent=ID   (XML fragment in the body)
+//	POST   /insert?parent=ID   (one XML fragment in the body)
 //	POST   /ingest[?wait=0]    (stream of XML fragments in the body)
 //	DELETE /node/{id}
 //	GET    /stats[?tag=NAME][&top=N]
@@ -136,13 +136,15 @@ func (c Config) withDefaults() Config {
 // Backend is the store surface the server needs. Both nok.Store (one
 // document) and shard.Store (a scatter-gather collection) implement it, so
 // one serving layer fronts either; nokserve picks by probing for a SHARDS
-// manifest.
+// manifest. InsertBatch is the only insert: POST /insert is a
+// one-fragment batch, and the Backend itself is the POST /ingest
+// pipeline's ingest.Target, so it must honour that retry contract.
 type Backend interface {
 	QueryWithOptionsContext(ctx context.Context, expr string, opts *nok.QueryOptions) ([]nok.Result, *nok.QueryStats, error)
 	QueryAnalyze(expr string, opts *nok.QueryOptions) ([]nok.Result, *nok.QueryStats, string, error)
 	Plan(expr string) (string, error)
 	Value(id string) (string, bool, error)
-	Insert(parentID string, fragment io.Reader) error
+	InsertBatch(parentID string, frags [][]byte) error
 	Delete(id string) error
 	Stats() nok.Stats
 	NodeCount() uint64
@@ -202,8 +204,7 @@ type Server struct {
 	cache *resultCache
 	mux   *http.ServeMux
 
-	// ingest is the shared group-commit pipeline behind POST /ingest; nil
-	// when the backend cannot batch (the handler then answers 501).
+	// ingest is the shared group-commit pipeline behind POST /ingest.
 	// Sharing one pipeline across requests is the point: concurrent
 	// clients' documents coalesce into the same commits.
 	ingest *ingest.Pipeline
@@ -231,11 +232,12 @@ func New(store *nok.Store, cfg Config) *Server {
 func NewBackend(store Backend, cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		store: store,
-		cfg:   cfg,
-		pool:  newPool(cfg.Workers, cfg.QueueDepth),
-		cache: newResultCache(cfg.CacheEntries),
-		mux:   http.NewServeMux(),
+		store:  store,
+		cfg:    cfg,
+		pool:   newPool(cfg.Workers, cfg.QueueDepth),
+		cache:  newResultCache(cfg.CacheEntries),
+		mux:    http.NewServeMux(),
+		ingest: ingest.NewPipeline(store, cfg.Ingest),
 	}
 	s.mux.HandleFunc("GET /query", s.handleQuery)
 	s.mux.HandleFunc("GET /scatter", s.handleScatter)
@@ -250,9 +252,6 @@ func NewBackend(store Backend, cfg Config) *Server {
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /debug/queries", s.handleDebugQueries)
 	s.mux.HandleFunc("GET /debug/ingest", s.handleDebugIngest)
-	if bi, ok := store.(batchInserter); ok {
-		s.ingest = ingest.NewPipeline(ingestTarget{bi: bi, be: store}, cfg.Ingest)
-	}
 	if cfg.EnablePprof {
 		// pprof.Index dispatches /debug/pprof/{goroutine,heap,...} itself;
 		// the fixed-path handlers cover the endpoints Index doesn't.
@@ -349,11 +348,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 	// Drain the ingest pipeline first: Close flushes anything buffered, so
 	// accepted-but-uncommitted documents land before the store goes away.
-	if s.ingest != nil {
-		if err := s.ingest.Close(); err != nil {
-			s.store.Close()
-			return err
-		}
+	if err := s.ingest.Close(); err != nil {
+		s.store.Close()
+		return err
 	}
 	return s.store.Close()
 }
@@ -738,7 +735,19 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "missing parent parameter")
 		return
 	}
-	if err := s.store.Insert(parent, r.Body); err != nil {
+	// The fragment is buffered whole, so it is capped at the same in-flight
+	// budget POST /ingest applies to a single document.
+	frag, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.ingest.Budget()))
+	if err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			writeError(w, http.StatusRequestEntityTooLarge, "fragment larger than %d bytes", tooLarge.Limit)
+			return
+		}
+		writeError(w, http.StatusBadRequest, "reading fragment: %v", err)
+		return
+	}
+	if err := s.store.InsertBatch(parent, [][]byte{frag}); err != nil {
 		s.writeMutationError(w, err)
 		return
 	}

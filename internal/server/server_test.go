@@ -204,7 +204,7 @@ func TestCacheInvalidation(t *testing.T) {
 	}
 
 	frag := `<book year="2004"><title>Succinct XML</title><price>10</price></book>`
-	if err := srv.store.Insert("0", strings.NewReader(frag)); err != nil {
+	if err := srv.store.InsertBatch("0", [][]byte{[]byte(frag)}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -285,7 +285,7 @@ func TestConcurrentLoad(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < 10; i++ {
 			frag := fmt.Sprintf("<book><title>new%d</title><price>%d</price></book>", i, i)
-			if err := srv.store.Insert("0", strings.NewReader(frag)); err != nil {
+			if err := srv.store.InsertBatch("0", [][]byte{[]byte(frag)}); err != nil {
 				t.Errorf("insert %d: %v", i, err)
 				return
 			}

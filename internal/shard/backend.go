@@ -11,8 +11,9 @@ package shard
 // pins its own committed snapshot — see docs/FAULT_TOLERANCE.md).
 
 import (
+	"bytes"
 	"context"
-	"io"
+	"fmt"
 
 	"nok"
 	"nok/internal/remote"
@@ -27,7 +28,10 @@ type Backend interface {
 	View() (View, error)
 
 	Value(id string) (string, bool, error)
-	Insert(parentID string, fragment io.Reader) error
+	// InsertBatch appends frags, in order, under parentID. A local shard
+	// commits them as one epoch; a remote one reports a failure as a
+	// *partialCommitError naming the prefix that committed.
+	InsertBatch(parentID string, frags [][]byte) error
 	Delete(id string) error
 
 	Stats() nok.Stats
@@ -122,12 +126,42 @@ func (v localView) Scatter(ctx context.Context, expr string, opts *nok.QueryOpti
 // ---- remote -------------------------------------------------------------
 
 // remoteBackend adapts a remote client. The client's own methods already
-// match the Backend surface; only View and ProvablyEmpty need glue.
+// match the Backend surface; only View, ProvablyEmpty and InsertBatch need
+// glue.
 type remoteBackend struct {
 	*remote.Client
 }
 
 func (b remoteBackend) View() (View, error) { return remoteView{b.Client}, nil }
+
+// InsertBatch sends the fragments one POST /insert at a time: the wire has
+// no batch form for a parent below the collection root, and mutations are
+// never retried. Any failure is a *partialCommitError.
+func (b remoteBackend) InsertBatch(parentID string, frags [][]byte) error {
+	for i, f := range frags {
+		if err := b.Client.Insert(parentID, bytes.NewReader(f)); err != nil {
+			return &partialCommitError{committed: i, err: err}
+		}
+	}
+	return nil
+}
+
+// partialCommitError reports a remote batch that failed after its first
+// committed fragments landed. It is deliberately not a *nok.FragmentError:
+// fragments are validated before any backend is called, so the failure is
+// store- or network-level, and the failing POST itself may have committed
+// (a timed-out request), so dropping a fragment and retrying the rest
+// could duplicate documents.
+type partialCommitError struct {
+	committed int
+	err       error
+}
+
+func (e *partialCommitError) Error() string {
+	return fmt.Sprintf("remote batch failed after %d committed fragment(s), not retryable: %v", e.committed, e.err)
+}
+
+func (e *partialCommitError) Unwrap() error { return e.err }
 
 // ProvablyEmpty answers conservatively: the coordinator holds no
 // statistics for a remote shard. The remote process applies its own

@@ -1,39 +1,50 @@
 package shard
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
+	"io"
 
 	"nok"
 	"nok/internal/dewey"
 )
 
-// batchInserter is the optional group-commit fast path a backend may
-// offer: the whole slice lands in one committed epoch. Local backends get
-// it from *nok.Store; remote backends fall back to per-fragment inserts
-// (mutations are never retried or batched over the wire).
-type batchInserter interface {
-	InsertBatch(parentID string, frags [][]byte) error
+// Insert appends an XML fragment as the last child of the node identified
+// by parentID: a one-fragment InsertBatch, whose *FragmentError it
+// unwraps (there is only one possible offender).
+func (st *Store) Insert(parentID string, fragment io.Reader) error {
+	buf, err := io.ReadAll(fragment)
+	if err != nil {
+		return err
+	}
+	err = st.InsertBatch(parentID, [][]byte{buf})
+	var fe *nok.FragmentError
+	if errors.As(err, &fe) {
+		return fe.Err
+	}
+	return err
 }
 
-// InsertBatch appends a batch of fragments in one pass. Deep parents (a
-// node inside one document) go to the owning shard as a single atomic
-// batch. Inserting under the collection root ("0") deep-validates and
-// routes each fragment by the collection's strategy, assigns consecutive
-// global ordinals, and groups the fragments per target shard so every
-// shard commits its share as ONE epoch; the manifest is rewritten once at
+// InsertBatch appends a batch of fragments in one pass. Every fragment is
+// deep-validated first — well-formed XML, exactly one root element — so a
+// malformed one rejects the batch as a *nok.FragmentError before any
+// backend is called, whatever the parent. Deep parents (a node inside one
+// document) then go to the owning shard as one batch. Inserting under the
+// collection root ("0") routes each fragment by the collection's
+// strategy, assigns consecutive global ordinals, and delivers each
+// shard's share as ONE InsertBatch call; the manifest is rewritten once at
 // the end.
 //
 // Atomicity is per shard, not per collection: a failure on one shard
 // leaves batches already committed on other shards in place (their
-// assignments are preserved). The error contract is the ingest.Target
-// one: a *nok.FragmentError (index remapped to the caller's batch) is
-// returned ONLY while the collection is still untouched — every
-// document-attributable failure is caught by the validation pass before
-// the first shard commits — so callers may drop the offender and retry
-// the remainder without duplicating documents. Once any shard has
-// committed, failures surface as plain (non-retryable) errors.
+// assignments are preserved), and a remote share records the prefix its
+// member confirmed. The error contract is the ingest.Target one: a
+// *nok.FragmentError (index remapped to the caller's batch) is returned
+// ONLY while the collection is still untouched, so callers may drop the
+// offender and retry the remainder without duplicating documents. Once
+// any backend has been called, failures surface as plain (non-retryable)
+// errors — a remote member's failure always does, because a timed-out
+// POST may still have committed.
 func (st *Store) InsertBatch(parentID string, frags [][]byte) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -47,21 +58,24 @@ func (st *Store) InsertBatch(parentID string, frags [][]byte) error {
 	if len(frags) == 0 {
 		return nil
 	}
+	tags := make([]string, len(frags))
+	for i, buf := range frags {
+		if tags[i], err = validateFragment(buf); err != nil {
+			return &nok.FragmentError{Index: i, Err: err}
+		}
+	}
 	if len(pid) > 1 {
 		s, local, err := st.locate(pid)
 		if err != nil {
 			return err
 		}
-		return insertBatchOn(st.shards[s], local.String(), frags)
+		return st.shards[s].InsertBatch(local.String(), frags)
 	}
 
-	// New top-level documents: deep-validate and route each fragment, then
-	// deliver each shard's share as one batch. Validation runs the full
-	// parse up front so a malformed body (not just a bad root tag) rejects
-	// the batch here, while nothing has committed and a *FragmentError is
-	// still retry-safe. Ordinals of a failed share are simply never
-	// assigned; the next insert reuses them, keeping per-shard assignments
-	// strictly increasing and duplicate-free.
+	// New top-level documents: route each fragment, then deliver each
+	// shard's share as one batch. Ordinals of a failed share are simply
+	// never assigned; the next insert reuses them, keeping per-shard
+	// assignments strictly increasing and duplicate-free.
 	type share struct {
 		frags   [][]byte
 		globals []uint32
@@ -70,16 +84,10 @@ func (st *Store) InsertBatch(parentID string, frags [][]byte) error {
 	shares := make([]share, st.man.Shards)
 	global := st.maxGlobal()
 	for i, buf := range frags {
-		tag, err := validateFragment(buf)
-		if err != nil {
-			return &nok.FragmentError{Index: i, Err: err}
-		}
 		global++
-		var target int
+		target := routeHash(global, st.man.Shards)
 		if st.man.Strategy == StrategyPath {
-			target = st.man.routeTag(tag)
-		} else {
-			target = routeHash(global, st.man.Shards)
+			target = st.man.routeTag(tags[i])
 		}
 		sh := &shares[target]
 		sh.frags = append(sh.frags, buf)
@@ -92,46 +100,32 @@ func (st *Store) InsertBatch(parentID string, frags [][]byte) error {
 	// callers would re-submit the committed shares and duplicate them.
 	var firstErr error
 	committed := false
-	for s := range st.shards {
-		sh := shares[s]
+	for s, sh := range shares {
 		if len(sh.frags) == 0 {
 			continue
 		}
-		if bi, ok := st.shards[s].(batchInserter); ok {
-			if err := bi.InsertBatch("0", sh.frags); err != nil {
-				var fe *nok.FragmentError
-				switch {
-				case errors.As(err, &fe) && fe.Index < len(sh.orig) && !committed:
-					// The shard's own batch is atomic, so nothing anywhere
-					// has committed yet: remap and stay retryable.
-					err = &nok.FragmentError{Index: sh.orig[fe.Index], Err: fe.Err}
-				case errors.As(err, &fe) && fe.Index < len(sh.orig):
-					err = fmt.Errorf("fragment %d: partial batch commit (earlier shards kept their shares), not retryable: %v",
-						sh.orig[fe.Index], fe.Err)
-				}
-				firstErr = fmt.Errorf("shard %d: %w", s, err)
-				break
+		err := st.shards[s].InsertBatch("0", sh.frags)
+		done := len(sh.frags)
+		if err != nil {
+			done = 0
+			var pe *partialCommitError
+			var fe *nok.FragmentError
+			switch {
+			case errors.As(err, &pe):
+				done = pe.committed
+			case errors.As(err, &fe) && fe.Index < len(sh.orig) && !committed:
+				// A local share is atomic, so nothing anywhere has
+				// committed yet: remap and stay retryable.
+				err = &nok.FragmentError{Index: sh.orig[fe.Index], Err: fe.Err}
+			case errors.As(err, &fe) && fe.Index < len(sh.orig):
+				err = fmt.Errorf("fragment %d: partial batch commit (earlier shards kept their shares), not retryable: %v",
+					sh.orig[fe.Index], fe.Err)
 			}
-			committed = true
-			st.man.Assign[s] = append(st.man.Assign[s], sh.globals...)
-			continue
 		}
-		// Per-fragment fallback (remote shard): record each success in the
-		// assignment immediately so a mid-batch failure never strands
-		// committed documents outside the manifest. Fragments were already
-		// validated, so a failure here is store- or network-level — and a
-		// prefix of the share may be durable — so it is never reported as a
-		// retryable *FragmentError.
-		for i, f := range sh.frags {
-			if err := st.shards[s].Insert("0", bytes.NewReader(f)); err != nil {
-				firstErr = fmt.Errorf("shard %d: fragment %d: not retryable (%d of this share committed): %v",
-					s, sh.orig[i], i, err)
-				break
-			}
-			committed = true
-			st.man.Assign[s] = append(st.man.Assign[s], sh.globals[i])
-		}
-		if firstErr != nil {
+		st.man.Assign[s] = append(st.man.Assign[s], sh.globals[:done]...)
+		committed = committed || done > 0
+		if err != nil {
+			firstErr = fmt.Errorf("shard %d: %w", s, err)
 			break
 		}
 	}
@@ -139,26 +133,4 @@ func (st *Store) InsertBatch(parentID string, frags [][]byte) error {
 		firstErr = err
 	}
 	return firstErr
-}
-
-// insertBatchOn delivers a same-parent batch to one backend, using its
-// group-commit path when offered and per-fragment inserts otherwise. The
-// fallback keeps the ingest.Target contract: a *nok.FragmentError is only
-// returned while the backend is untouched (first fragment), because later
-// fragments fail with a committed prefix behind them and retrying would
-// duplicate it.
-func insertBatchOn(b Backend, parentID string, frags [][]byte) error {
-	if bi, ok := b.(batchInserter); ok {
-		return bi.InsertBatch(parentID, frags)
-	}
-	for i, f := range frags {
-		if err := b.Insert(parentID, bytes.NewReader(f)); err != nil {
-			if i == 0 {
-				return &nok.FragmentError{Index: 0, Err: err}
-			}
-			return fmt.Errorf("shard: fragment %d: partial batch commit (%d fragments already committed), not retryable: %v",
-				i, i, err)
-		}
-	}
-	return nil
 }

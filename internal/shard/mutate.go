@@ -52,55 +52,6 @@ func (st *Store) Value(id string) (string, bool, error) {
 	return st.shards[s].Value(local.String())
 }
 
-// Insert appends an XML fragment as the last child of the node identified
-// by parentID. Inserting under the collection root ("0") adds a new
-// top-level document: it is routed by the collection's strategy, assigned
-// the next global ordinal, and the manifest is rewritten; deeper inserts
-// go to the single shard owning the enclosing document.
-func (st *Store) Insert(parentID string, fragment io.Reader) error {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.closed {
-		return ErrClosed
-	}
-	pid, err := dewey.Parse(parentID)
-	if err != nil {
-		return err
-	}
-	if len(pid) > 1 {
-		s, local, err := st.locate(pid)
-		if err != nil {
-			return err
-		}
-		return st.shards[s].Insert(local.String(), fragment)
-	}
-
-	// New top-level document. Buffer the fragment to learn its root tag
-	// (path routing needs it; hash routing only needs the ordinal).
-	buf, err := io.ReadAll(fragment)
-	if err != nil {
-		return err
-	}
-	tag, err := fragmentRootTag(buf)
-	if err != nil {
-		return err
-	}
-	global := st.maxGlobal() + 1
-	var target int
-	if st.man.Strategy == StrategyPath {
-		// May record a route for an unseen name; the manifest is saved
-		// below either way.
-		target = st.man.routeTag(tag)
-	} else {
-		target = routeHash(global, st.man.Shards)
-	}
-	if err := st.shards[target].Insert("0", bytes.NewReader(buf)); err != nil {
-		return err
-	}
-	st.man.Assign[target] = append(st.man.Assign[target], global)
-	return saveManifest(st.dir, st.man)
-}
-
 // Delete removes the node with the given global Dewey ID and its subtree.
 // Deleting a whole document (a root child) removes it from its shard and
 // renumbers the global ordinals after it, exactly as the unsharded store
@@ -179,10 +130,10 @@ func (st *Store) maxGlobal() uint32 {
 
 // validateFragment deep-parses a fragment — well-formed XML, exactly one
 // root element — and names its root. InsertBatch runs it over the whole
-// batch before any shard commits: catching every document-attributable
-// failure up front is what keeps the routing stage's *FragmentError
-// retry-safe, because by the time shards start committing, the only
-// errors left are store-level and fatal.
+// batch before any backend is called: catching every
+// document-attributable failure up front is what keeps its
+// *FragmentError retry-safe, because by the time shards start
+// committing, the only errors left are store-level and fatal.
 func validateFragment(buf []byte) (string, error) {
 	sc := sax.NewScanner(bytes.NewReader(buf))
 	root := ""
@@ -211,23 +162,6 @@ func validateFragment(buf []byte) (string, error) {
 			depth++
 		case sax.EndElement:
 			depth--
-		}
-	}
-}
-
-// fragmentRootTag scans just far enough into a fragment to name its root.
-func fragmentRootTag(buf []byte) (string, error) {
-	sc := sax.NewScanner(bytes.NewReader(buf))
-	for {
-		ev, err := sc.Next()
-		if err == io.EOF {
-			return "", fmt.Errorf("shard: fragment has no root element")
-		}
-		if err != nil {
-			return "", err
-		}
-		if ev.Kind == sax.StartElement {
-			return ev.Name, nil
 		}
 	}
 }

@@ -9,6 +9,7 @@ package shard
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -18,6 +19,7 @@ import (
 
 	"nok"
 	"nok/internal/core"
+	"nok/internal/dewey"
 	"nok/internal/remote"
 	"nok/internal/server"
 )
@@ -344,5 +346,143 @@ func TestRemoteRetryHeals(t *testing.T) {
 	}
 	if len(rs) == 0 {
 		t.Fatal("no results")
+	}
+}
+
+// authorOn returns the ID of an <author> element inside a document shard
+// s owns: a deep parent whose inserts go to that shard alone.
+func authorOn(t *testing.T, st *Store, s int) string {
+	t.Helper()
+	rs, err := st.Query(`//author`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	man := st.Manifest()
+	for _, r := range rs {
+		id, err := dewey.Parse(r.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if owner, _, routed := man.globalToLocal(id[1]); routed && owner == s {
+			return r.ID
+		}
+	}
+	t.Fatalf("no author on shard %d", s)
+	return ""
+}
+
+// TestRemoteDeepInsertBatch: a deep-parent batch bound for a remote shard
+// is validated before the member sees any of it, so a malformed fragment
+// is a retryable *FragmentError with nothing committed; and a transport
+// failure is never a *FragmentError, because the timed-out POST may have
+// committed and dropping a well-formed document would lose it.
+func TestRemoteDeepInsertBatch(t *testing.T) {
+	st, servers := serveMixed(t, collection(12), 2, []int{1}, nil)
+	parent := authorOn(t, st, 1)
+	count := func() int {
+		rs, err := st.Query(`//last`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(rs)
+	}
+	before := count()
+
+	err := st.InsertBatch(parent, [][]byte{[]byte(`<last>DeepGood</last>`), []byte(`<last>bad</wrong>`)})
+	var fe *nok.FragmentError
+	if !errors.As(err, &fe) || fe.Index != 1 {
+		t.Fatalf("malformed deep batch: got %v, want *FragmentError{Index: 1}", err)
+	}
+	if got := count(); got != before {
+		t.Fatalf("rejected deep batch committed fragments: %d -> %d lasts", before, got)
+	}
+
+	servers[1].Close()
+	err = st.InsertBatch(parent, [][]byte{[]byte(`<last>DeepGood</last>`)})
+	if err == nil {
+		t.Fatal("deep batch to a stopped member succeeded")
+	}
+	if errors.As(err, &fe) {
+		t.Fatalf("transport failure reported as retryable %v", err)
+	}
+}
+
+// TestRemoteInsertBatch: top-level and deep-parent batches through a
+// coordinator with remote members answer exactly like a single store fed
+// the same batches; a batch that hits a stopped member fails as a fatal
+// (non-FragmentError) error, and the SHARDS assignment written for it
+// lists exactly the documents the live members hold.
+func TestRemoteInsertBatch(t *testing.T) {
+	xml := collection(15)
+	for name, remoteIdx := range map[string][]int{
+		"one-remote": {1},
+		"all-remote": {0, 1, 2},
+	} {
+		t.Run(name, func(t *testing.T) {
+			single, err := nok.Create(filepath.Join(t.TempDir(), "single"), strings.NewReader(xml), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer single.Close()
+			st, servers := serveMixed(t, xml, 3, remoteIdx, nil)
+
+			docs := batchFragments(20, 0)
+			deep := [][]byte{[]byte(`<last>DeepA</last>`), []byte(`<first>DeepB</first>`), []byte(`<last>DeepC</last>`)}
+			parent := authorOn(t, st, 1)
+			for _, b := range []struct {
+				parent string
+				frags  [][]byte
+			}{{"0", docs}, {parent, deep}} {
+				if err := single.InsertBatch(b.parent, b.frags); err != nil {
+					t.Fatalf("single batch under %s: %v", b.parent, err)
+				}
+				if err := st.InsertBatch(b.parent, b.frags); err != nil {
+					t.Fatalf("sharded batch under %s: %v", b.parent, err)
+				}
+			}
+			for _, q := range append(shardableQueries, `//author[last="DeepC"]/first`, `//article/title`) {
+				compareQuery(t, single, st, q, nil)
+			}
+
+			deadAssign := st.Manifest().Assign[1]
+			servers[1].Close()
+			err = st.InsertBatch("0", batchFragments(12, 100))
+			var fe *nok.FragmentError
+			if err == nil || errors.As(err, &fe) {
+				t.Fatalf("batch over a stopped member: got %v, want a non-FragmentError failure", err)
+			}
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			re, err := OpenWithOptions(st.dir, &OpenOptions{Remote: fastRemote()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer re.Close()
+			man := re.Manifest()
+			if fmt.Sprint(man.Assign[1]) != fmt.Sprint(deadAssign) {
+				t.Errorf("stopped member's assignment moved: %v -> %v", deadAssign, man.Assign[1])
+			}
+			for _, s := range []int{0, 2} {
+				v, err := re.shards[s].View()
+				if err != nil {
+					t.Fatal(err)
+				}
+				held := 0
+				for _, q := range []string{`/bib/book`, `/bib/article`} {
+					res, err := v.Scatter(context.Background(), q, nil)
+					if err != nil {
+						v.Release()
+						t.Fatalf("shard %d: %v", s, err)
+					}
+					held += len(res.Results)
+				}
+				v.Release()
+				if held != len(man.Assign[s]) {
+					t.Errorf("shard %d holds %d documents, SHARDS assigns %d", s, held, len(man.Assign[s]))
+				}
+			}
+		})
 	}
 }

@@ -110,13 +110,11 @@ func (t *Table) Names() []string {
 	return out
 }
 
-// On-disk format magics. "NKS2" adds a CRC32C of the entry payload to the
-// header, so a torn or bit-flipped table is detected at load instead of
-// silently decoding garbage names; "NKS1" (no checksum) is still readable.
-var (
-	magic   = [4]byte{'N', 'K', 'S', '2'}
-	magicV1 = [4]byte{'N', 'K', 'S', '1'}
-)
+// On-disk format magic. "NKS2" carries a CRC32C of the entry payload in
+// the header, so a torn or bit-flipped table is detected at load instead
+// of silently decoding garbage names; the unchecksummed "NKS1" predecessor
+// is refused like any other unknown magic.
+var magic = [4]byte{'N', 'K', 'S', '2'}
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
@@ -152,35 +150,25 @@ func (t *Table) WriteTo(w io.Writer) (int64, error) {
 	return 12 + int64(n), err
 }
 
-// Read deserializes a table previously written with WriteTo. Both the
-// checksummed "NKS2" format and the legacy "NKS1" format are accepted;
-// for "NKS2" the payload checksum is verified (ErrChecksum on mismatch).
+// Read deserializes a table previously written with WriteTo, verifying
+// the payload checksum (ErrChecksum on mismatch).
 func Read(r io.Reader) (*Table, error) {
 	br := bufio.NewReader(r)
-	var hdr [8]byte
+	var hdr [12]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
 		return nil, fmt.Errorf("symtab: reading header: %w", err)
 	}
-	var checked io.Reader = br
-	switch [4]byte(hdr[:4]) {
-	case magic:
-		var crcBuf [4]byte
-		if _, err := io.ReadFull(br, crcBuf[:]); err != nil {
-			return nil, fmt.Errorf("symtab: reading header: %w", err)
-		}
-		body, err := io.ReadAll(br)
-		if err != nil {
-			return nil, fmt.Errorf("symtab: reading table: %w", err)
-		}
-		if crc32.Checksum(body, crcTable) != binary.BigEndian.Uint32(crcBuf[:]) {
-			return nil, ErrChecksum
-		}
-		checked = bytes.NewReader(body)
-	case magicV1:
-		// Legacy uncheckedsummed table: decode as-is.
-	default:
-		return nil, fmt.Errorf("symtab: bad magic %q", hdr[:4])
+	if [4]byte(hdr[:4]) != magic {
+		return nil, fmt.Errorf("symtab: bad magic %q (pre-checksum file? rebuild the store)", hdr[:4])
 	}
+	body, err := io.ReadAll(br)
+	if err != nil {
+		return nil, fmt.Errorf("symtab: reading table: %w", err)
+	}
+	if crc32.Checksum(body, crcTable) != binary.BigEndian.Uint32(hdr[8:12]) {
+		return nil, ErrChecksum
+	}
+	checked := bytes.NewReader(body)
 	count := binary.BigEndian.Uint32(hdr[4:8])
 	if count > uint32(MaxSym) {
 		return nil, fmt.Errorf("symtab: impossible symbol count %d", count)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -139,6 +140,12 @@ func TestReadRejectsGarbage(t *testing.T) {
 	}
 	if _, err := Read(bytes.NewReader(nil)); err == nil {
 		t.Error("expected error reading empty input")
+	}
+	// A well-formed legacy unchecksummed NKS1 table (names "a", "b") must
+	// be refused by its magic, not decoded past the CRC check.
+	_, err := Read(bytes.NewReader([]byte("NKS1\x00\x00\x00\x02\x00\x01a\x00\x01b")))
+	if err == nil || !strings.Contains(err.Error(), "bad magic") {
+		t.Errorf("reading an NKS1 table: err = %v, want bad magic", err)
 	}
 }
 

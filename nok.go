@@ -454,22 +454,21 @@ func (s *Store) Value(id string) (string, bool, error) {
 }
 
 // Insert appends an XML fragment (one root element) as the last child of
-// the node identified by parentID. Indexes are rebuilt; see the paper's
-// §4.1 note on Dewey-ID index reconstruction.
+// the node identified by parentID: a one-fragment InsertBatch, whose
+// *FragmentError it unwraps (there is only one possible offender).
+// Indexes are rebuilt; see the paper's §4.1 note on Dewey-ID index
+// reconstruction.
 func (s *Store) Insert(parentID string, fragment io.Reader) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	id, err := dewey.Parse(parentID)
+	buf, err := io.ReadAll(fragment)
 	if err != nil {
 		return err
 	}
-	// Bump even when the insert errors: a partial mutation may have touched
-	// pages, and over-invalidating caches is always safe.
-	s.gen.Add(1)
-	return mapClosed(s.db.InsertFragment(id, fragment))
+	err = s.InsertBatch(parentID, [][]byte{buf})
+	var fe *FragmentError
+	if errors.As(err, &fe) {
+		return fe.Err
+	}
+	return err
 }
 
 // FragmentError reports which fragment of an InsertBatch failed; callers
