@@ -111,29 +111,29 @@ func TestQueryContextNilAndBackground(t *testing.T) {
 	}
 }
 
-func TestGenerationBumpsOnMutation(t *testing.T) {
+func TestEpochBumpsOnMutation(t *testing.T) {
 	st := newStore(t)
-	if g := st.Generation(); g != 0 {
-		t.Fatalf("fresh store generation = %d", g)
+	if e := st.Epoch(); e != 1 {
+		t.Fatalf("fresh store epoch = %d, want 1", e)
 	}
 	if err := st.Insert("0", strings.NewReader(`<book><title>x</title></book>`)); err != nil {
 		t.Fatal(err)
 	}
-	if g := st.Generation(); g != 1 {
-		t.Fatalf("post-insert generation = %d, want 1", g)
+	if e := st.Epoch(); e != 2 {
+		t.Fatalf("post-insert epoch = %d, want 2", e)
 	}
 	if err := st.Delete("0.5"); err != nil {
 		t.Fatal(err)
 	}
-	if g := st.Generation(); g != 2 {
-		t.Fatalf("post-delete generation = %d, want 2", g)
+	if e := st.Epoch(); e != 3 {
+		t.Fatalf("post-delete epoch = %d, want 3", e)
 	}
-	// A failed parse does not reach the store and must not bump.
+	// A rejected mutation commits nothing and must not bump.
 	if err := st.Insert("not-an-id", strings.NewReader(`<x/>`)); err == nil {
 		t.Fatal("bad parent id accepted")
 	}
-	if g := st.Generation(); g != 2 {
-		t.Fatalf("generation after rejected insert = %d, want 2", g)
+	if e := st.Epoch(); e != 3 {
+		t.Fatalf("epoch after rejected insert = %d, want 3", e)
 	}
 }
 
@@ -173,7 +173,7 @@ func TestConcurrentQueryUpdateRace(t *testing.T) {
 				case 2:
 					_ = st.NodeCount()
 					_ = st.Stats()
-					_ = st.Generation()
+					_ = st.Epoch()
 				case 3:
 					_ = st.TagCount("book")
 					if _, _, err := st.Value("0.1.2"); err != nil {

@@ -21,6 +21,7 @@ package remote
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -49,6 +50,11 @@ const (
 // maxFrameField caps a single length-prefixed field so a corrupt or
 // malicious stream cannot ask the decoder to allocate gigabytes.
 const maxFrameField = 1 << 28
+
+// maxEagerField is the largest field the decoder allocates before reading
+// it. Longer fields grow as their bytes arrive, so a length prefix alone —
+// say a 13-byte stream claiming a 256 MiB field — costs no more than this.
+const maxEagerField = 64 << 10
 
 // ErrTruncated reports a scatter stream that ended before its end frame.
 // A short read over a failing connection must never be mistaken for a
@@ -169,6 +175,13 @@ func ReadScatter(r io.Reader) (*ScatterResult, error) {
 		}
 		if n > maxFrameField {
 			return nil, fmt.Errorf("remote: scatter field of %d bytes exceeds limit", n)
+		}
+		if n > maxEagerField {
+			var buf bytes.Buffer
+			if _, err := io.CopyN(&buf, br, int64(n)); err != nil {
+				return nil, truncated(err)
+			}
+			return buf.Bytes(), nil
 		}
 		b := make([]byte, n)
 		if _, err := io.ReadFull(br, b); err != nil {

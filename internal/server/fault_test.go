@@ -57,11 +57,15 @@ func (f *faultBackend) InsertBatch(parent string, frags [][]byte) error { return
 func (f *faultBackend) Delete(id string) error                          { return nil }
 func (f *faultBackend) Stats() nok.Stats                                { return nok.Stats{} }
 func (f *faultBackend) NodeCount() uint64                               { return 1 }
-func (f *faultBackend) Generation() uint64                              { return 1 }
 func (f *faultBackend) Epoch() uint64                                   { return 1 }
 func (f *faultBackend) Synopsis(n int) nok.SynopsisInfo                 { return nok.SynopsisInfo{} }
 func (f *faultBackend) Verify(deep bool) *nok.VerifyResult              { return &nok.VerifyResult{} }
 func (f *faultBackend) Close() error                                    { return nil }
+func (f *faultBackend) MVCC() nok.MVCCInfo                              { return nok.MVCCInfo{} }
+func (f *faultBackend) TagCount(name string) uint64                     { return 0 }
+func (f *faultBackend) Health() []nok.ShardHealth                       { return nil }
+func (f *faultBackend) CacheFingerprint(expr string) string             { return "1" }
+func (f *faultBackend) ProvablyEmpty(string) (bool, string, error)      { return false, "", nil }
 
 func newFaultServer(t *testing.T, f *faultBackend, cfg Config) string {
 	t.Helper()

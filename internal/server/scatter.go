@@ -68,12 +68,10 @@ func (s *Server) handleScatter(w http.ResponseWriter, r *http.Request) {
 
 	// Server-side pruning: one round trip answers both "can this shard
 	// match at all" and, if so, the matches themselves.
-	if pe, ok := s.store.(ProvableEmptier); ok {
-		if empty, reason, perr := pe.ProvablyEmpty(expr); perr == nil && empty {
-			w.Header().Set("Content-Type", scatterContentType)
-			_ = remote.WriteScatter(w, &remote.ScatterResult{Pruned: true, Reason: reason, Epoch: s.store.Epoch()})
-			return
-		}
+	if empty, reason, perr := s.store.ProvablyEmpty(expr); perr == nil && empty {
+		w.Header().Set("Content-Type", scatterContentType)
+		_ = remote.WriteScatter(w, &remote.ScatterResult{Pruned: true, Reason: reason, Epoch: s.store.Epoch()})
+		return
 	}
 
 	results, stats, err := s.store.QueryWithOptionsContext(ctx, expr, opts)

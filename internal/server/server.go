@@ -148,49 +148,36 @@ type Backend interface {
 	Delete(id string) error
 	Stats() nok.Stats
 	NodeCount() uint64
-	Generation() uint64
 	Epoch() uint64
 	Synopsis(n int) nok.SynopsisInfo
 	Verify(deep bool) *nok.VerifyResult
 	Close() error
+	// MVCC is the snapshot/page-version accounting /stats reports (the
+	// sharded store aggregates it across shards).
+	MVCC() nok.MVCCInfo
+	// TagCount answers /stats?tag=NAME: one tag's cardinality without
+	// shipping the whole synopsis.
+	TagCount(name string) uint64
+	// Health is the per-shard availability (address, prober verdict,
+	// breaker state, last epoch) /stats exposes; nil for a plain store.
+	Health() []nok.ShardHealth
+	CacheFingerprinter
+	ProvableEmptier
 }
 
-// CacheFingerprinter is an optional Backend refinement: instead of keying
-// cached results on the whole-store generation, the backend names exactly
-// the state a query's answer depends on. The sharded store returns the
-// participating (shard, generation) pairs, so a write to shard 3 does not
-// evict shard 0's cached results. An empty fingerprint marks the query
-// uncachable.
+// CacheFingerprinter names the store state a query's cached answer
+// depends on. The plain store returns its committed epoch; the sharded
+// store returns the participating (shard, epoch) pairs, so a write to
+// shard 3 does not evict shard 0's cached results. An empty fingerprint
+// marks the query uncachable.
 type CacheFingerprinter interface {
 	CacheFingerprint(expr string) string
 }
 
-// MVCCReporter is an optional Backend refinement: backends built on the
-// multi-version store expose the snapshot/page-version accounting that
-// /stats reports (the sharded store aggregates it across shards).
-type MVCCReporter interface {
-	MVCC() nok.MVCCInfo
-}
-
-// TagCounter is an optional Backend refinement answering /stats?tag=NAME
-// — remote coordinators use it to read one tag's cardinality without
-// shipping the whole synopsis.
-type TagCounter interface {
-	TagCount(name string) uint64
-}
-
-// HealthReporter is an optional Backend refinement: sharded backends
-// report per-shard availability (address, prober verdict, breaker state,
-// last epoch) that /stats exposes for operators and the chaos tests.
-type HealthReporter interface {
-	Health() []nok.ShardHealth
-}
-
-// ProvableEmptier is an optional Backend refinement the /scatter handler
-// uses for server-side pruning: a shard that can prove from its
-// statistics synopsis that a pattern cannot match returns a pruned frame
-// without evaluating, so coordinator-side pruning costs no extra round
-// trip.
+// ProvableEmptier is what the /scatter handler uses for server-side
+// pruning: a shard that can prove from its statistics synopsis that a
+// pattern cannot match returns a pruned frame without evaluating, so
+// coordinator-side pruning costs no extra round trip.
 type ProvableEmptier interface {
 	ProvablyEmpty(expr string) (bool, string, error)
 }
@@ -490,7 +477,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// The fingerprint is read before evaluation: if a mutation lands while
 	// the query runs, the entry is stored under the pre-mutation state and
 	// can never be served afterwards — over-invalidation, never staleness.
-	fp := s.fingerprint(expr)
+	// It takes the raw query text (the canonical tree rendering is a display
+	// form, not re-parseable); textual variants still share an entry because
+	// the canonical form is the key. "" marks the query uncachable.
+	fp := s.store.CacheFingerprint(expr)
 	key := cacheKey{expr: tree.String(), strategy: strat, fp: fp}
 	if results, stats, ok := s.cache.get(key); fp != "" && ok {
 		// A hit still gets its own telemetry record (the cached stats
@@ -534,23 +524,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.cache.put(key, results, stats)
 	}
 	s.respondQuery(w, r, expr, results, stats, false, limit, time.Since(begin))
-}
-
-// fingerprint names the store state a cached answer for expr depends on:
-// the backend's per-query fingerprint when it offers one, the committed
-// MVCC epoch otherwise. The epoch is precise where the mutation counter is
-// not: it advances only when a mutation actually commits, and two reads of
-// the same epoch are guaranteed byte-identical state, so a failed insert
-// no longer evicts every cached result. "" marks the query uncachable. It
-// takes the raw query text (not the canonical tree rendering, which is a
-// display form and not re-parseable); textual variants of one query still
-// share a cache entry because the canonical form is the key and the
-// fingerprint is determined by query semantics.
-func (s *Server) fingerprint(expr string) string {
-	if f, ok := s.store.(CacheFingerprinter); ok {
-		return f.CacheFingerprint(expr)
-	}
-	return strconv.FormatUint(s.store.Epoch(), 10)
 }
 
 // writeQueryError maps evaluation/admission errors to HTTP statuses.
@@ -691,10 +664,9 @@ func (s *Server) handleValue(w http.ResponseWriter, r *http.Request) {
 }
 
 type mutationResponse struct {
-	OK         bool   `json:"ok"`
-	Generation uint64 `json:"generation"`
-	Epoch      uint64 `json:"epoch"`
-	Nodes      uint64 `json:"nodes"`
+	OK    bool   `json:"ok"`
+	Epoch uint64 `json:"epoch"`
+	Nodes uint64 `json:"nodes"`
 }
 
 // refuseMutation writes the 503 for degraded/draining states; it reports
@@ -753,7 +725,7 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
 	}
 	mMutations.Inc()
 	writeJSON(w, http.StatusOK, mutationResponse{
-		OK: true, Generation: s.store.Generation(), Epoch: s.store.Epoch(), Nodes: s.store.NodeCount(),
+		OK: true, Epoch: s.store.Epoch(), Nodes: s.store.NodeCount(),
 	})
 }
 
@@ -772,18 +744,17 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 	}
 	mMutations.Inc()
 	writeJSON(w, http.StatusOK, mutationResponse{
-		OK: true, Generation: s.store.Generation(), Epoch: s.store.Epoch(), Nodes: s.store.NodeCount(),
+		OK: true, Epoch: s.store.Epoch(), Nodes: s.store.NodeCount(),
 	})
 }
 
 type statsResponse struct {
-	Version    string            `json:"version"`
-	Store      nok.Stats         `json:"store"`
-	Nodes      uint64            `json:"nodes"`
-	Generation uint64            `json:"generation"`
-	Epoch      uint64            `json:"epoch"`
-	MVCC       *nok.MVCCInfo     `json:"mvcc,omitempty"`
-	Synopsis   *nok.SynopsisInfo `json:"synopsis,omitempty"`
+	Version  string            `json:"version"`
+	Store    nok.Stats         `json:"store"`
+	Nodes    uint64            `json:"nodes"`
+	Epoch    uint64            `json:"epoch"`
+	MVCC     *nok.MVCCInfo     `json:"mvcc,omitempty"`
+	Synopsis *nok.SynopsisInfo `json:"synopsis,omitempty"`
 	// TagCount answers ?tag=NAME: the number of nodes with that tag.
 	TagCount *uint64 `json:"tag_count,omitempty"`
 	// Shards reports per-shard availability for sharded backends —
@@ -817,30 +788,23 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	syn := s.store.Synopsis(top)
+	mvcc := s.store.MVCC()
 	resp := statsResponse{
 		Version:    buildinfo.String(),
 		Store:      s.store.Stats(),
 		Nodes:      s.store.NodeCount(),
-		Generation: s.store.Generation(),
 		Epoch:      s.store.Epoch(),
+		MVCC:       &mvcc,
 		Synopsis:   &syn,
+		Shards:     s.store.Health(),
 		Workers:    s.cfg.Workers,
 		QueueDepth: s.cfg.QueueDepth,
 		Inflight:   s.pool.Inflight(),
 		Queued:     s.pool.Queued(),
 	}
-	if m, ok := s.store.(MVCCReporter); ok {
-		info := m.MVCC()
-		resp.MVCC = &info
-	}
 	if tag := r.FormValue("tag"); tag != "" {
-		if tc, ok := s.store.(TagCounter); ok {
-			n := tc.TagCount(tag)
-			resp.TagCount = &n
-		}
-	}
-	if hr, ok := s.store.(HealthReporter); ok {
-		resp.Shards = hr.Health()
+		n := s.store.TagCount(tag)
+		resp.TagCount = &n
 	}
 	resp.Cache.Entries = s.cache.len()
 	resp.Cache.Capacity = s.cfg.CacheEntries

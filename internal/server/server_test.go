@@ -187,8 +187,9 @@ func TestEndpoints(t *testing.T) {
 }
 
 // TestCacheInvalidation checks the acceptance property "stale results must
-// not be served": a mutation bumps the store generation, so the cached
-// pre-mutation entry becomes unreachable.
+// not be served": a committed mutation bumps the store epoch, so the cached
+// pre-mutation entry becomes unreachable — while a rejected mutation
+// commits nothing and leaves cached entries servable.
 func TestCacheInvalidation(t *testing.T) {
 	srv, ts := newTestServer(t, samples.Bibliography, Config{})
 
@@ -220,12 +221,60 @@ func TestCacheInvalidation(t *testing.T) {
 		t.Fatalf("post-insert repeat: %+v", qr)
 	}
 
+	if err := srv.store.InsertBatch("0", [][]byte{[]byte(`<book><title>`)}); err == nil {
+		t.Fatal("malformed fragment accepted")
+	}
+	getJSON(t, ts.URL+q, &qr)
+	if !qr.Cached || qr.Count != 5 {
+		t.Fatalf("rejected insert evicted the cache: %+v", qr)
+	}
+
 	if err := srv.store.Delete("0.5"); err != nil {
 		t.Fatal(err)
 	}
 	getJSON(t, ts.URL+q, &qr)
 	if qr.Cached || qr.Count != 4 {
 		t.Fatalf("post-delete: %+v", qr)
+	}
+}
+
+// TestStatsSurface covers /stats over both store kinds behind the one
+// Backend interface: the mvcc block, ?tag= answered by TagCount, shard
+// health only for a collection, and no key outside statsResponse.
+func TestStatsSurface(t *testing.T) {
+	plainSrv, plainTS := newTestServer(t, samples.Bibliography, Config{})
+	collSrv, collTS, _ := shardedCollection(t)
+	for _, tc := range []struct {
+		name   string
+		srv    *Server
+		url    string
+		shards int
+	}{
+		{"plain", plainSrv, plainTS.URL, 0},
+		{"sharded", collSrv, collTS.URL, 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			resp, err := http.Get(tc.url + "/stats?tag=book")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			var sr statsResponse
+			dec := json.NewDecoder(resp.Body)
+			dec.DisallowUnknownFields()
+			if err := dec.Decode(&sr); err != nil || resp.StatusCode != 200 {
+				t.Fatalf("status %d, decoding: %v", resp.StatusCode, err)
+			}
+			if sr.MVCC == nil || sr.MVCC.Epoch != sr.Epoch {
+				t.Errorf("mvcc block %+v, want epoch %d", sr.MVCC, sr.Epoch)
+			}
+			if want := tc.srv.store.TagCount("book"); sr.TagCount == nil || *sr.TagCount != want || want == 0 {
+				t.Errorf("tag_count %v, want TagCount(book) = %d", sr.TagCount, want)
+			}
+			if len(sr.Shards) != tc.shards {
+				t.Errorf("%d shard entries, want %d", len(sr.Shards), tc.shards)
+			}
+		})
 	}
 }
 

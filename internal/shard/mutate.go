@@ -166,18 +166,10 @@ func validateFragment(buf []byte) (string, error) {
 	}
 }
 
-// Generation returns the sum of the shard generations: it is bumped by
-// every mutation anywhere in the collection. Caches wanting finer-grained
-// invalidation should key on CacheFingerprint instead.
-func (st *Store) Generation() uint64 {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	var g uint64
-	for _, sub := range st.shards {
-		g += sub.Generation()
-	}
-	return g
-}
+// ProvablyEmpty answers conservatively (false): the collection prunes per
+// shard inside every scatter, so a coordinator served behind /scatter
+// evaluates and lets its members prune.
+func (st *Store) ProvablyEmpty(string) (bool, string, error) { return false, "", nil }
 
 // CacheFingerprint identifies exactly the state a cached result for expr
 // depends on: the (shard, epoch) pairs of the shards that would
