@@ -201,9 +201,9 @@ func main() {
 				log.Fatalf("group commit is only %.1fx per-Insert throughput, below the %.0fx budget",
 					res.Speedup, bench.IngestSpeedupMin)
 			}
-			if !res.SynopsisFresh || res.Fallbacks != 0 {
-				log.Fatalf("synopsis went stale during the streamed load (fresh=%v, %d planner fallbacks)",
-					res.SynopsisFresh, res.Fallbacks)
+			if !res.SynopsisOK() {
+				log.Fatalf("synopsis audit failed: synopsis epoch %d at store epoch %d, %d of %d raced queries unplanned",
+					res.SynopsisEpoch, res.FinalEpoch, res.Unplanned, res.Queries)
 			}
 		default:
 			log.Fatalf("unknown table %q", name)

@@ -133,10 +133,9 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		for s, assign := range man.Assign {
 			fmt.Fprintf(stdout, "  shard %d: %d document(s)\n", s, len(assign))
 		}
-		if syn := st.Synopsis(0); syn.Present {
-			fmt.Fprintf(stdout, "  statistics synopsis: epoch %d, %d tags, %d paths (planner + shard pruning enabled)\n",
-				syn.Epoch, syn.Tags, syn.Paths)
-		}
+		syn := st.Synopsis(0)
+		fmt.Fprintf(stdout, "  statistics synopsis: epoch %d, %d tags, %d paths (planner + shard pruning enabled)\n",
+			syn.Epoch, syn.Tags, syn.Paths)
 		return 0
 	}
 	st, err := nok.CreateFromFile(*db, *xml, opts)
@@ -149,10 +148,9 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "  nodes: %d   pages: %d   max depth: %d\n", stats.Nodes, stats.Pages, stats.MaxDepth)
 	fmt.Fprintf(stdout, "  |tree|: %d bytes   values: %d bytes   headers in RAM: %d bytes\n",
 		stats.TreeBytes, stats.ValueBytes, stats.HeaderBytes)
-	if syn := st.Synopsis(0); syn.Present {
-		fmt.Fprintf(stdout, "  statistics synopsis: epoch %d, %d tags, %d paths (planner enabled)\n",
-			syn.Epoch, syn.Tags, syn.Paths)
-	}
+	syn := st.Synopsis(0)
+	fmt.Fprintf(stdout, "  statistics synopsis: epoch %d, %d tags, %d paths (planner enabled)\n",
+		syn.Epoch, syn.Tags, syn.Paths)
 	return 0
 }
 

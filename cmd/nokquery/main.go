@@ -72,7 +72,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	showStats := fs.Bool("stats", false, "print evaluation statistics")
 	analyze := fs.Bool("analyze", false, "print the executed plan with per-phase timings (EXPLAIN ANALYZE)")
 	planOnly := fs.Bool("plan", false, "print the cost-based plan without executing the query")
-	noPlanner := fs.Bool("no-planner", false, "keep auto strategy on the paper's §6.2 heuristic even when planner statistics exist")
+	noPlanner := fs.Bool("no-planner", false, "keep auto strategy on the paper's §6.2 heuristic instead of the cost-based planner")
 	timeout := fs.Duration("timeout", 0, "per-query deadline (0 = none); exceeded deadlines abort the matching loops mid-scan")
 	partial := fs.Bool("partial", false, "accept degraded partial results when a remote shard is unreachable")
 	version := fs.Bool("version", false, "print the build identity and exit")

@@ -152,15 +152,11 @@ func runSharded(dir, tag string, synStats, metrics bool, stdout io.Writer, fail 
 func printSynopsis(stdout io.Writer, info nok.SynopsisInfo) {
 	fmt.Fprintln(stdout, "-- statistics synopsis --")
 	if !info.Present {
-		fmt.Fprintln(stdout, "synopsis:     absent (store predates statistics; run an update or reload to build one)")
-		fmt.Fprintln(stdout, "planner:      unavailable; auto strategy uses the paper's §6.2 heuristic")
+		// Only a sharded collection whose remote member did not answer.
+		fmt.Fprintln(stdout, "synopsis:     unavailable (a shard did not answer)")
 		return
 	}
-	fresh := "fresh"
-	if info.Stale {
-		fresh = fmt.Sprintf("STALE (store is at epoch %d)", info.StoreEpoch)
-	}
-	fmt.Fprintf(stdout, "synopsis:     epoch %d, %s\n", info.Epoch, fresh)
+	fmt.Fprintf(stdout, "synopsis:     epoch %d\n", info.Epoch)
 	fmt.Fprintf(stdout, "nodes:        %d total, %d with values\n", info.TotalNodes, info.ValueNodes)
 	fmt.Fprintf(stdout, "tree pages:   %d\n", info.TreePages)
 	fmt.Fprintf(stdout, "max depth:    %d\n", info.MaxDepth)

@@ -12,7 +12,6 @@ import (
 	"nok/internal/core"
 	"nok/internal/dewey"
 	"nok/internal/ingest"
-	"nok/internal/obs"
 )
 
 // ---- Group-commit ingest throughput ------------------------------------------
@@ -20,9 +19,9 @@ import (
 // IngestResult compares streamed group-commit ingest against per-document
 // Insert calls at equal durability (both sides run the same COW commit
 // path: every commit flushes and renames the manifest). It also audits the
-// incremental-synopsis claim: across the whole streamed load, concurrent
-// planned queries must never fall back to the §6.2 heuristic, and the
-// final synopsis must belong to the final epoch.
+// incremental-synopsis claim: across the whole streamed load, every
+// concurrent auto-strategy query must be cost-planned, and the final
+// synopsis must belong to the final epoch.
 type IngestResult struct {
 	Docs       int     // documents streamed through the pipeline
 	GroupSecs  float64 // wall time for the streamed load
@@ -34,21 +33,22 @@ type IngestResult struct {
 	SingleRate float64 // documents/second, one commit per document
 	Speedup    float64 // GroupRate / SingleRate
 
-	SynopsisFresh bool  // final synopsis epoch == final store epoch
-	Fallbacks     int64 // planner fallbacks observed during the stream
-	Queries       int   // planned queries raced against the stream
+	SynopsisEpoch uint64 // epoch of the final committed synopsis
+	FinalEpoch    uint64 // final store epoch
+	Unplanned     int    // raced queries the planner did not plan
+	Queries       int    // auto-strategy queries raced against the stream
+}
+
+// SynopsisOK is the synopsis gate: the final synopsis is the final
+// epoch's and every raced query was cost-planned.
+func (r *IngestResult) SynopsisOK() bool {
+	return r.SynopsisEpoch == r.FinalEpoch && r.Unplanned == 0
 }
 
 // IngestSpeedupMin is the acceptance budget: the group-commit pipeline
 // must move documents at least this many times faster than per-document
 // Insert commits.
 const IngestSpeedupMin = 5.0
-
-// ingestFallbacks resolves the planner's fallback counter (registering is
-// idempotent: same name+help returns the shared counter the evaluator
-// increments).
-var ingestFallbacks = obs.Default.Counter("nok_plan_fallbacks_total",
-	"auto-strategy queries evaluated by the heuristic because no fresh synopsis existed")
 
 func ingestDoc(i int) string {
 	return fmt.Sprintf("<book><title>g%d</title><author><last>A%d</last></author><price>%d</price></book>",
@@ -110,14 +110,13 @@ func Ingest(cfg Config) (*IngestResult, error) {
 	res.SingleRate = float64(sample) / res.SingleSecs
 
 	// Streamed load: the same documents through the group-commit pipeline,
-	// with planned queries racing it to observe any synopsis staleness.
+	// with auto-strategy queries racing it; each must come back planned.
 	st, err := core.LoadXML(tmp+"/group", strings.NewReader("<lib></lib>"), &core.Options{PageSize: cfg.PageSize})
 	if err != nil {
 		return nil, err
 	}
 	defer st.Close()
 	epoch0 := st.Epoch()
-	fb0 := ingestFallbacks.Value()
 
 	var feed strings.Builder
 	for i := 0; i < docs; i++ {
@@ -128,20 +127,23 @@ func Ingest(cfg Config) (*IngestResult, error) {
 	stop := make(chan struct{})
 	qdone := make(chan error, 1)
 	go func() {
-		n := 0
+		n, unplanned := 0, 0
 		var qerr error
 		for {
 			select {
 			case <-stop:
-				res.Queries = n
+				res.Queries, res.Unplanned = n, unplanned
 				qdone <- qerr
 				return
 			default:
 			}
-			// Auto strategy consults the planner; a stale synopsis would
-			// bump the fallback counter.
-			if _, _, err := st.Query(`//book[price<10]`, nil); err != nil && qerr == nil {
-				qerr = err
+			_, qs, err := st.Query(`//book[price<10]`, nil)
+			if err != nil {
+				if qerr == nil {
+					qerr = err
+				}
+			} else if !qs.Planned {
+				unplanned++
 			}
 			n++
 			time.Sleep(2 * time.Millisecond)
@@ -193,13 +195,13 @@ func Ingest(cfg Config) (*IngestResult, error) {
 	res.Batches = stats.Batches
 	res.Epochs = st.Epoch() - epoch0
 	res.Speedup = res.GroupRate / res.SingleRate
-	res.Fallbacks = ingestFallbacks.Value() - fb0
-	res.SynopsisFresh = st.SynopsisFresh()
+	res.SynopsisEpoch = st.Synopsis().Epoch
+	res.FinalEpoch = st.Epoch()
 	return res, nil
 }
 
 // WriteIngest renders the experiment with its two gates: the ≥5× speedup
-// and the zero-fallback synopsis freshness audit.
+// and the synopsis audit.
 func WriteIngest(w io.Writer, res *IngestResult) {
 	fmt.Fprintf(w, "%-34s %10s %12s %10s\n", "mode", "docs", "wall(s)", "docs/s")
 	fmt.Fprintf(w, "%-34s %10d %12.3f %10.0f\n", "per-document Insert (1 epoch/doc)", res.SingleDocs, res.SingleSecs, res.SingleRate)
@@ -211,10 +213,10 @@ func WriteIngest(w io.Writer, res *IngestResult) {
 	}
 	fmt.Fprintf(w, "speedup: %.1fx  (budget >=%.0fx, %d batches) %s\n",
 		res.Speedup, IngestSpeedupMin, res.Batches, verdict)
-	fresh := "PASS"
-	if !res.SynopsisFresh || res.Fallbacks != 0 {
-		fresh = "FAIL"
+	synVerdict := "PASS"
+	if !res.SynopsisOK() {
+		synVerdict = "FAIL"
 	}
-	fmt.Fprintf(w, "synopsis: fresh=%v, %d planner fallback(s) across %d raced queries (budget: fresh, 0 fallbacks) %s\n",
-		res.SynopsisFresh, res.Fallbacks, res.Queries, fresh)
+	fmt.Fprintf(w, "synopsis: epoch %d at store epoch %d, %d unplanned of %d raced queries (budget: same epoch, 0 unplanned) %s\n",
+		res.SynopsisEpoch, res.FinalEpoch, res.Unplanned, res.Queries, synVerdict)
 }

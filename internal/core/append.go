@@ -26,8 +26,7 @@ import (
 // parse feeds a delta builder seeded with the insertion point's ancestor
 // chain, and the delta merges into the previous epoch's synopsis
 // (stats.Merge) instead of being recollected by the rebuild scan. The
-// merged synopsis commits at the new epoch, so the planner never sees
-// stale statistics mid-stream.
+// merged synopsis commits at the new epoch with everything else.
 
 // FragmentError reports which fragment of a batch failed, so callers can
 // drop it and retry the rest. It always wraps the underlying cause.
@@ -82,17 +81,14 @@ func (db *DB) InsertFragmentBatch(parent dewey.ID, frags []io.Reader) error {
 	// abort simply discards the clone.
 	newTags := db.Tags.Clone()
 
-	// Incremental synopsis: when the committed synopsis is fresh, collect
-	// the batch's contribution in a delta builder seeded with the
-	// insertion point's ancestor chain and merge instead of rebuilding.
-	// A stale or missing synopsis falls back to the full rebuild scan.
-	var delta *stats.Builder
-	prev := db.Snapshot.syn.Load()
-	if prev != nil && prev.Epoch == db.Snapshot.epoch {
-		if anc, err := db.ancestorSyms(parent); err == nil {
-			delta = stats.NewDeltaBuilder(anc)
-		}
+	// Incremental synopsis: collect the batch's contribution in a delta
+	// builder seeded with the insertion point's ancestor chain, and merge
+	// it into the committed synopsis instead of rebuilding.
+	anc, err := db.ancestorSyms(parent)
+	if err != nil {
+		return err
 	}
+	delta := stats.NewDeltaBuilder(anc)
 
 	var enc stree.SubtreeEncoder
 	var pend []pendingValue
@@ -131,10 +127,9 @@ func (db *DB) InsertFragmentBatch(parent dewey.ID, frags []io.Reader) error {
 	for k, v := range valueAt {
 		carried[k] = v
 	}
-	var merged *stats.Synopsis
-	if delta != nil {
-		merged = stats.Merge(prev, delta.Delta())
-	}
+	// A nil merge (incompatible sketches) makes applyUpdate rebuild the
+	// synopsis by scan.
+	merged := stats.Merge(db.syn, delta.Delta())
 	return db.applyUpdate(newTags, carried, merged, func(t *stree.Store) error {
 		return t.InsertChild(pos, tokens)
 	})
@@ -150,9 +145,9 @@ type pendingValue struct {
 
 // parseFragment parses one XML fragment into the shared batch encoder,
 // collects its values keyed by the Dewey IDs the new nodes will have
-// (rooted at parent.Child(ord)), and — when delta is non-nil — feeds the
-// synopsis delta builder. The fragment must contain exactly one root
-// element so consecutive batch ordinals line up with the spliced tree.
+// (rooted at parent.Child(ord)), and feeds the synopsis delta builder.
+// The fragment must contain exactly one root element so consecutive
+// batch ordinals line up with the spliced tree.
 // Nothing durable mutates here: values are buffered into pend, names
 // intern into the cloned table, and an error discards both.
 func (db *DB) parseFragment(r io.Reader, enc *stree.SubtreeEncoder, newTags *symtab.Table,
@@ -190,9 +185,7 @@ func (db *DB) parseFragment(r io.Reader, enc *stree.SubtreeEncoder, newTags *sym
 			id = p.id.Child(p.kids)
 		}
 		level := baseLevel + len(stack) + 1
-		if delta != nil {
-			delta.Node(sym, level)
-		}
+		delta.Node(sym, level)
 		stack = append(stack, &open{id: id, level: level})
 		return nil
 	}
@@ -208,9 +201,7 @@ func (db *DB) parseFragment(r io.Reader, enc *stree.SubtreeEncoder, newTags *sym
 		}
 		if text != "" {
 			*pend = append(*pend, pendingValue{id: e.id.String(), text: text})
-			if delta != nil {
-				delta.Value(e.level, vstore.Hash([]byte(text)))
-			}
+			delta.Value(e.level, vstore.Hash([]byte(text)))
 		}
 		return nil
 	}

@@ -8,27 +8,60 @@ import (
 	"strings"
 	"testing"
 
+	"nok/internal/dewey"
 	"nok/internal/samples"
 	"nok/internal/stats"
+	"nok/internal/stree"
+	"nok/internal/symtab"
+	"nok/internal/vstore"
 )
 
 // checkSynopsisAgainstRebuild asserts the committed (incrementally merged)
-// synopsis is byte-identical to a full rebuild at the same epoch —
-// RefreshSynopsis rescans the whole tree, which is the oracle.
+// synopsis is byte-identical to a full rebuild at the same epoch — a
+// rescan of the whole tree, which is the oracle.
 func checkSynopsisAgainstRebuild(t *testing.T, db *DB) {
 	t.Helper()
-	if !db.SynopsisFresh() {
-		t.Fatal("synopsis stale after batch insert")
+	if got := db.Synopsis().Epoch; got != db.Epoch() {
+		t.Fatalf("synopsis epoch %d after batch insert, store is at %d", got, db.Epoch())
 	}
 	merged := stats.Encode(db.Synopsis())
-	if err := db.RefreshSynopsis(); err != nil {
-		t.Fatalf("RefreshSynopsis: %v", err)
-	}
-	rebuilt := stats.Encode(db.Synopsis())
-	if !bytes.Equal(merged, rebuilt) {
+	rebuilt := rebuildSynopsis(t, db)
+	if !bytes.Equal(merged, stats.Encode(rebuilt)) {
 		t.Fatalf("incrementally merged synopsis differs from full rebuild:\nmerged:  %+v\nrebuilt: %+v",
-			db.Synopsis(), db.Synopsis())
+			db.Synopsis(), rebuilt)
 	}
+}
+
+// rebuildSynopsis collects the synopsis of db's current snapshot from a
+// full scan of the tree and value file.
+func rebuildSynopsis(t *testing.T, db *DB) *stats.Synopsis {
+	t.Helper()
+	sb := stats.NewBuilder()
+	var scanErr error
+	err := db.Tree.Scan(func(pos stree.Pos, sym symtab.Sym, level int, id dewey.ID) bool {
+		sb.Node(sym, level)
+		_, valOff, found, err := db.NodeAt(id)
+		if err != nil {
+			scanErr = err
+			return false
+		}
+		if found && valOff != NoValue {
+			v, err := db.Values.Get(int64(valOff))
+			if err != nil {
+				scanErr = err
+				return false
+			}
+			sb.Value(level, vstore.Hash(v))
+		}
+		return true
+	})
+	if err == nil {
+		err = scanErr
+	}
+	if err != nil {
+		t.Fatalf("rebuilding synopsis: %v", err)
+	}
+	return sb.Finish(db.Epoch(), uint64(db.Tree.NumPages()))
 }
 
 func TestInsertFragmentBatchOneEpoch(t *testing.T) {
@@ -188,26 +221,4 @@ func TestInsertFragmentBatchRejectsEmptyFragment(t *testing.T) {
 	if db.Snapshot.epoch != epoch0 {
 		t.Fatal("empty batch published an epoch")
 	}
-}
-
-// TestInsertFragmentBatchStaleSynopsisFallback forces the no-synopsis path
-// and checks the batch still commits with a correct (rebuilt) synopsis.
-func TestInsertFragmentBatchStaleSynopsisFallback(t *testing.T) {
-	db := loadDB(t, samples.Bibliography, smallPages())
-	// Simulate a stale synopsis as an old store (pre-synopsis epoch) would
-	// present it: the loaded synopsis carries a past epoch.
-	old := db.Synopsis()
-	stale := *old
-	stale.Epoch = old.Epoch + 1000
-	db.Snapshot.syn.Store(&stale)
-	if db.SynopsisFresh() {
-		t.Fatal("setup: synopsis should be stale")
-	}
-	if err := db.InsertFragmentBatch(mustID(t, "0"), []io.Reader{
-		strings.NewReader(`<book><title>Fallback</title></book>`),
-	}); err != nil {
-		t.Fatal(err)
-	}
-	// The rebuild scan recollected the synopsis; it is fresh again.
-	checkSynopsisAgainstRebuild(t, db)
 }

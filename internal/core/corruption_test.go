@@ -9,6 +9,7 @@ import (
 
 	"nok/internal/pager"
 	"nok/internal/samples"
+	"nok/internal/stats"
 	"nok/internal/vfs"
 	"nok/internal/vstore"
 )
@@ -90,9 +91,10 @@ func TestOpenFailsCleanlyOnCorruption(t *testing.T) {
 // corruption must fail Open (or Verify) with a typed, actionable error.
 func TestOpenCorruptedFixtures(t *testing.T) {
 	type fixture struct {
-		name    string
-		corrupt func(t *testing.T, dir string)
-		wantErr []error // any match passes (errors.Is)
+		name     string
+		corrupt  func(t *testing.T, dir string)
+		wantErr  []error // any match passes (errors.Is)
+		wantText string  // or, for untyped refusals, an error substring
 	}
 	fixtures := []fixture{
 		{
@@ -140,7 +142,7 @@ func TestOpenCorruptedFixtures(t *testing.T) {
 					t.Fatal(err)
 				}
 				m.Epoch++
-				for _, role := range []string{roleTags, roleStats, roleTagIdx, roleValIdx, roleDewIdx, rolePathIdx} {
+				for _, role := range []string{roleTags, roleTagIdx, roleValIdx, roleDewIdx, rolePathIdx} {
 					rec := m.Files[role]
 					rec.Name = epochFileName(role, m.Epoch)
 					m.Files[role] = rec
@@ -199,6 +201,75 @@ func TestOpenCorruptedFixtures(t *testing.T) {
 			},
 			wantErr: []error{vstore.ErrBadHeader},
 		},
+		{
+			name: "missing-synopsis",
+			corrupt: func(t *testing.T, dir string) {
+				if err := os.Remove(filepath.Join(dir, storeFiles(t, dir)[roleSynopsis])); err != nil {
+					t.Fatal(err)
+				}
+			},
+			wantErr: []error{ErrMissingFile},
+		},
+		{
+			name: "corrupt-synopsis",
+			corrupt: func(t *testing.T, dir string) {
+				path := filepath.Join(dir, storeFiles(t, dir)[roleSynopsis])
+				raw, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				raw[len(raw)-1] ^= 0xFF // a payload byte: the CRC no longer matches
+				if err := os.WriteFile(path, raw, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			},
+			wantErr: []error{stats.ErrCorrupt},
+		},
+		{
+			name: "stale-synopsis",
+			corrupt: func(t *testing.T, dir string) {
+				// A well-formed synopsis from another epoch, committed under
+				// a re-recorded manifest: only the epoch check can catch it.
+				m, err := readManifest(vfs.OS, dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				name := m.Files[roleSynopsis].Name
+				raw, err := os.ReadFile(filepath.Join(dir, name))
+				if err != nil {
+					t.Fatal(err)
+				}
+				syn, err := stats.Decode(raw)
+				if err != nil {
+					t.Fatal(err)
+				}
+				syn.Epoch = m.Epoch + 7
+				if err := os.WriteFile(filepath.Join(dir, name), stats.Encode(syn), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				if m.Files[roleSynopsis], err = record(vfs.OS, dir, name); err != nil {
+					t.Fatal(err)
+				}
+				if err := writeManifest(vfs.OS, dir, m); err != nil {
+					t.Fatal(err)
+				}
+			},
+			wantErr: []error{stats.ErrCorrupt},
+		},
+		{
+			name: "format-3-manifest",
+			corrupt: func(t *testing.T, dir string) {
+				m, err := readManifest(vfs.OS, dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				m.Format = 3
+				if err := writeManifest(vfs.OS, dir, m); err != nil {
+					t.Fatal(err)
+				}
+			},
+			wantText: "store format 3",
+		},
 	}
 	for _, fx := range fixtures {
 		fx := fx
@@ -215,7 +286,10 @@ func TestOpenCorruptedFixtures(t *testing.T) {
 					return
 				}
 			}
-			t.Errorf("%s: err = %v, want one of %v", fx.name, err, fx.wantErr)
+			if fx.wantText != "" && strings.Contains(err.Error(), fx.wantText) {
+				return
+			}
+			t.Errorf("%s: err = %v, want one of %v or text %q", fx.name, err, fx.wantErr, fx.wantText)
 		})
 	}
 }

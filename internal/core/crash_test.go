@@ -18,8 +18,14 @@ const crashDoc = `<bib><book year="2004"><title>a</title><price>9</price></book>
 
 const crashFragment = `<book year="2005"><title>b</title><price>11</price></book>`
 
+// loadCrashDoc is large enough that each of the four index B+ trees spans
+// several pages, so the load sweep also crashes between the page writes of
+// one index flush, not only between whole files.
+var loadCrashDoc = "<bib>" + strings.Repeat(crashFragment, 100) + "</bib>"
+
 // crashWorkload opens the store through fsys, inserts a fragment, deletes
-// it again, and closes. Any step may fail once a fault is armed; the first
+// it again, inserts it once more (a commit that reuses the pages the delete
+// freed), and closes. Any step may fail once a fault is armed; the first
 // error aborts the rest (the process "died" there).
 func crashWorkload(dir string, fsys vfs.FS) error {
 	db, err := Open(dir, &Options{FS: fsys})
@@ -31,6 +37,10 @@ func crashWorkload(dir string, fsys vfs.FS) error {
 		return err
 	}
 	if err := db.DeleteSubtree(mustID2("0.1")); err != nil {
+		db.Close()
+		return err
+	}
+	if err := db.InsertFragment(dewey.Root(), strings.NewReader(crashFragment)); err != nil {
 		db.Close()
 		return err
 	}
@@ -47,7 +57,7 @@ func mustID2(s string) dewey.ID {
 
 // buildCrashBase loads crashDoc into dir fault-free and returns the node
 // counts of the two committed states the sweep may observe: n0 (before the
-// insert, equal to after the delete) and n1 (after the insert).
+// first insert, equal to after the delete) and n1 (after either insert).
 func buildCrashBase(t *testing.T, dir string) (n0, n1 uint64) {
 	t.Helper()
 	db, err := LoadXML(dir, strings.NewReader(crashDoc), nil)
@@ -66,11 +76,12 @@ func buildCrashBase(t *testing.T, dir string) (n0, n1 uint64) {
 }
 
 // TestCrashDuringUpdateSweep is the tentpole crash-consistency test: it
-// runs an open→insert→delete→close workload once per mutating file-system
-// operation, killing the "process" at that operation, then reopens the
-// store with the real file system and requires that recovery always lands
-// on a committed state — node count and epoch of either the pre-insert,
-// post-insert, or post-delete commit — and that a deep Verify is clean.
+// runs an open→insert→delete→insert→close workload once per mutating
+// file-system operation, killing the "process" at that operation, then
+// reopens the store with the real file system and requires that recovery
+// always lands on a committed state — node count and epoch of the
+// pre-insert, post-insert, post-delete or post-re-insert commit — and that
+// a deep Verify is clean.
 func TestCrashDuringUpdateSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep re-runs the workload once per fault point")
@@ -140,14 +151,14 @@ func TestCrashDuringUpdateSweep(t *testing.T) {
 					t.Errorf("node count %d after crash at op %d; want %d (pre/post-delete) or %d (post-insert)", n, i, n0, n1)
 				}
 				e := re.Epoch()
-				if e < baseEpoch || e > baseEpoch+2 {
-					t.Errorf("epoch %d after crash at op %d; want within [%d, %d]", e, i, baseEpoch, baseEpoch+2)
+				if e < baseEpoch || e > baseEpoch+3 {
+					t.Errorf("epoch %d after crash at op %d; want within [%d, %d]", e, i, baseEpoch, baseEpoch+3)
 				}
 				// The recovered epoch and the recovered content must name the
-				// same commit: epoch base+1 is the post-insert state, base
-				// and base+2 the one-book states around it.
+				// same commit: epochs base+1 and base+3 are the post-insert
+				// states, base and base+2 the one-book states around them.
 				wantN := n0
-				if e == baseEpoch+1 {
+				if (e-baseEpoch)%2 == 1 {
 					wantN = n1
 				}
 				if n != wantN {
@@ -182,7 +193,7 @@ func TestCrashDuringLoadSweep(t *testing.T) {
 
 	counter := faultfs.New(vfs.OS)
 	dir := t.TempDir() + "/probe"
-	db, err := LoadXML(dir, strings.NewReader(crashDoc), &Options{FS: counter})
+	db, err := LoadXML(dir, strings.NewReader(loadCrashDoc), &Options{FS: counter})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +210,7 @@ func TestCrashDuringLoadSweep(t *testing.T) {
 			dir := t.TempDir() + "/db"
 			ffs := faultfs.New(vfs.OS)
 			ffs.FailAt(i, faultfs.ErrOp)
-			db, err := LoadXML(dir, strings.NewReader(crashDoc), &Options{FS: ffs})
+			db, err := LoadXML(dir, strings.NewReader(loadCrashDoc), &Options{FS: ffs})
 			if err == nil {
 				err = db.Close()
 			}

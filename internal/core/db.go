@@ -3,15 +3,21 @@
 // storage scheme (Algorithm 2), with index-assisted starting-point location
 // and structural joins between NoK partitions.
 //
-// A Database is a directory holding the paper's Figure-3 layout:
+// A Database is a directory holding the paper's Figure-3 layout plus the
+// commit record (epoch-named files carry a -<epoch> suffix):
 //
-//	tree.pg      the paged string representation (internal/stree)
-//	tags.sym     the tag-name alphabet Σ (internal/symtab)
-//	values.dat   the value data file (internal/vstore)
-//	tagidx.pg    B+ tree: tag symbol ‖ Dewey → node position
-//	validx.pg    B+ tree: hash(value) ‖ Dewey → node position
-//	deweyidx.pg  B+ tree: Dewey → node position ‖ value offset
-//	stats.dat    per-tag node counts for the index-choice heuristic (§6.2)
+//	tree.pg       the paged string representation (internal/stree)
+//	values.dat    the value data file (internal/vstore)
+//	tags.sym      the tag-name alphabet Σ (internal/symtab)
+//	tagidx.pg     B+ tree: tag symbol ‖ Dewey → node position
+//	validx.pg     B+ tree: hash(value) ‖ Dewey → node position
+//	deweyidx.pg   B+ tree: Dewey → node position ‖ value offset
+//	pathidx.pg    B+ tree: hash(root-to-node tag path) ‖ Dewey → node position
+//	synopsis.bin  the statistics synopsis (internal/stats): per-tag node
+//	              counts for the index-choice heuristic (§6.2) and the
+//	              cost-based planner's input
+//	treemap.vt    tree.pg's committed page table (see manifest.go)
+//	MANIFEST      the commit record naming every file above
 //
 // Both multi-valued indexes put the Dewey ID *in the key*: dewey byte
 // encodings compare in document order, so a prefix scan yields entries in
@@ -31,6 +37,7 @@ import (
 	"nok/internal/btree"
 	"nok/internal/dewey"
 	"nok/internal/pager"
+	"nok/internal/stats"
 	"nok/internal/stree"
 	"nok/internal/symtab"
 	"nok/internal/vfs"
@@ -105,6 +112,9 @@ type DB struct {
 
 	dir  string
 	fsys vfs.FS
+	// poolPages is the resolved buffer-pool size; index files rebuilt by
+	// a commit open with it, like the ones Open and LoadXML open.
+	poolPages int
 
 	treeFile *pager.File
 
@@ -117,8 +127,8 @@ type DB struct {
 	// (Failures before the commit point abort cleanly and do not set it.)
 	broken bool
 
-	// wmu serializes mutations (InsertFragment, DeleteSubtree,
-	// RefreshSynopsis) and Close against each other. Readers never take it.
+	// wmu serializes mutations (InsertFragmentBatch, DeleteSubtree) and
+	// Close against each other. Readers never take it.
 	wmu sync.Mutex
 
 	// curv is the atomically published current snapshot; Acquire loads it
@@ -140,8 +150,8 @@ func Open(dir string, opts *Options) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	v := &Snapshot{epoch: m.Epoch, tagCount: make(map[symtab.Sym]uint64)}
-	db := &DB{Snapshot: v, dir: dir, fsys: o.FS, manifest: m, recovery: info}
+	v := &Snapshot{epoch: m.Epoch}
+	db := &DB{Snapshot: v, dir: dir, fsys: o.FS, poolPages: o.PoolPages, manifest: m, recovery: info}
 	v.db = db
 	ok := false
 	defer func() {
@@ -209,12 +219,16 @@ func Open(dir string, opts *Options) (*DB, error) {
 	if v.PathIdx, err = btree.Open(v.pathIdxFile); err != nil {
 		return nil, err
 	}
-	if v.tagCount, v.total, err = loadStatsFile(o.FS, db.path(roleStats)); err != nil {
-		return nil, err
+	rawSyn, err := vfs.ReadFile(o.FS, db.path(roleSynopsis))
+	if err != nil {
+		return nil, fmt.Errorf("core: reading synopsis: %w", err)
 	}
-	// Best-effort: a missing, stale or corrupt synopsis never blocks the
-	// open — the planner falls back to the §6.2 heuristic.
-	db.loadSynopsis()
+	if v.syn, err = stats.Decode(rawSyn); err != nil {
+		return nil, fmt.Errorf("core: loading synopsis: %w", err)
+	}
+	if v.syn.Epoch != m.Epoch {
+		return nil, fmt.Errorf("core: synopsis is for epoch %d, manifest committed %d: %w", v.syn.Epoch, m.Epoch, stats.ErrCorrupt)
+	}
 	v.publish()
 	ok = true
 	return db, nil
@@ -280,7 +294,7 @@ func (db *Snapshot) TagCount(name string) uint64 {
 	if !ok {
 		return 0
 	}
-	return db.tagCount[sym]
+	return db.syn.TagCount(sym)
 }
 
 // ---- key encodings ----------------------------------------------------------
@@ -363,47 +377,6 @@ func (db *Snapshot) nodeValueCounted(id dewey.ID, nc *stree.NavCounters) (string
 		return "", false, err
 	}
 	return string(v), true, nil
-}
-
-// ---- statistics -------------------------------------------------------------
-
-// saveStatsFile writes a statistics file atomically (tmp + fsync + rename
-// + directory fsync) at the given path.
-func saveStatsFile(fsys vfs.FS, path string, tags *symtab.Table, tagCount map[symtab.Sym]uint64, total uint64) error {
-	buf := make([]byte, 0, 16+len(tagCount)*10)
-	var tmp [10]byte
-	binary.BigEndian.PutUint64(tmp[:8], total)
-	buf = append(buf, tmp[:8]...)
-	binary.BigEndian.PutUint32(tmp[:4], uint32(len(tagCount)))
-	buf = append(buf, tmp[:4]...)
-	for sym := symtab.Sym(1); int(sym) <= tags.Len(); sym++ {
-		binary.BigEndian.PutUint16(tmp[:2], uint16(sym))
-		binary.BigEndian.PutUint64(tmp[2:10], tagCount[sym])
-		buf = append(buf, tmp[:10]...)
-	}
-	return vfs.WriteFileAtomic(fsys, path, buf, 0o644)
-}
-
-func loadStatsFile(fsys vfs.FS, path string) (map[symtab.Sym]uint64, uint64, error) {
-	raw, err := vfs.ReadFile(fsys, path)
-	if err != nil {
-		return nil, 0, fmt.Errorf("core: loading stats: %w", err)
-	}
-	if len(raw) < 12 {
-		return nil, 0, errors.New("core: truncated stats file")
-	}
-	total := binary.BigEndian.Uint64(raw[:8])
-	n := int(binary.BigEndian.Uint32(raw[8:12]))
-	raw = raw[12:]
-	if len(raw) < n*10 {
-		return nil, 0, errors.New("core: truncated stats entries")
-	}
-	tagCount := make(map[symtab.Sym]uint64, n)
-	for i := 0; i < n; i++ {
-		sym := symtab.Sym(binary.BigEndian.Uint16(raw[i*10:]))
-		tagCount[sym] = binary.BigEndian.Uint64(raw[i*10+2:])
-	}
-	return tagCount, total, nil
 }
 
 // IndexSizes reports the on-disk size in bytes of the string tree and the

@@ -46,12 +46,10 @@ var (
 //     node's matches.
 type QueryOptions struct {
 	// Strategy forces a starting-point strategy; StrategyAuto asks the
-	// cost-based planner when a fresh statistics synopsis exists and
-	// otherwise applies the paper's §6.2 heuristic.
+	// cost-based planner.
 	Strategy Strategy
-	// DisablePlanner keeps StrategyAuto on the paper's heuristic even when
-	// a fresh synopsis exists (ablation knob, and the safety hatch should a
-	// plan ever misbehave).
+	// DisablePlanner keeps StrategyAuto on the paper's §6.2 heuristic
+	// (ablation knob, and the safety hatch should a plan ever misbehave).
 	DisablePlanner bool
 	// DisablePageSkip turns off the header-table page-skip optimization
 	// in FOLLOWING-SIBLING (ablation benchmark).
@@ -240,9 +238,8 @@ func (db *Snapshot) queryPattern(t *pattern.Tree, opts *QueryOptions) ([]Match, 
 	// choice includes the path index over the anchored chain) and by phase 2.
 	anchor, chainTests := topAnchor(parts[0], t)
 
-	// Under StrategyAuto a fresh statistics synopsis upgrades the §6.2
-	// heuristic to the cost-based planner; a forced strategy, a disabled
-	// planner, or a missing/stale synopsis all leave plan nil.
+	// Under StrategyAuto the cost-based planner replaces the §6.2
+	// heuristic; a forced strategy or a disabled planner leaves plan nil.
 	var plan *planner.Plan
 	if strat == StrategyAuto && !noPlan {
 		plan = db.planFor(t, parts, anchor, chainTests)

@@ -35,20 +35,9 @@ func LoadXML(dir string, r io.Reader, opts *Options) (*DB, error) {
 	// The first committed epoch is 1; the directory holds no MANIFEST (and
 	// therefore no store) until the very last step of the load.
 	const epoch = 1
-	names := map[string]string{
-		roleTree:     fileTree,
-		roleValues:   fileValues,
-		roleTreeMap:  epochFileName(roleTreeMap, epoch),
-		roleTags:     epochFileName(roleTags, epoch),
-		roleStats:    epochFileName(roleStats, epoch),
-		roleSynopsis: epochFileName(roleSynopsis, epoch),
-		roleTagIdx:   epochFileName(roleTagIdx, epoch),
-		roleValIdx:   epochFileName(roleValIdx, epoch),
-		roleDewIdx:   epochFileName(roleDewIdx, epoch),
-		rolePathIdx:  epochFileName(rolePathIdx, epoch),
-	}
-	v := &Snapshot{epoch: epoch, tagCount: make(map[symtab.Sym]uint64)}
-	db := &DB{Snapshot: v, dir: dir, fsys: o.FS}
+	names := epochNames(epoch)
+	v := &Snapshot{epoch: epoch}
+	db := &DB{Snapshot: v, dir: dir, fsys: o.FS, poolPages: o.PoolPages}
 	v.db = db
 	ok := false
 	defer func() {
@@ -118,20 +107,15 @@ func LoadXML(dir string, r io.Reader, opts *Options) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	v.total = wtree.NodeCount()
-	if err := saveStatsFile(o.FS, filepath.Join(dir, names[roleStats]), v.Tags, v.tagCount, v.total); err != nil {
-		return nil, err
-	}
 	if err := v.Tags.SaveFS(o.FS, filepath.Join(dir, names[roleTags])); err != nil {
 		return nil, err
 	}
 	// The statistics synopsis was collected by the same SAX pass; it is
 	// committed through the manifest like every other store file.
-	syn := loader.sb.Finish(epoch, uint64(wtree.NumPages()))
-	if err := vfs.WriteFileAtomic(o.FS, filepath.Join(dir, names[roleSynopsis]), stats.Encode(syn), 0o644); err != nil {
+	v.syn = loader.sb.Finish(epoch, uint64(wtree.NumPages()))
+	if err := vfs.WriteFileAtomic(o.FS, filepath.Join(dir, names[roleSynopsis]), stats.Encode(v.syn), 0o644); err != nil {
 		return nil, err
 	}
-	v.syn.Store(syn)
 	// Make everything durable, then commit the store into existence:
 	// seal the epoch-1 copy-on-write transaction, write its page-table
 	// sidecar, and write the first manifest.
@@ -279,7 +263,6 @@ func (l *loader) open(name string) error {
 	}
 	l.stack = append(l.stack, e)
 	l.sb.Node(sym, len(l.stack))
-	l.db.tagCount[sym]++
 	l.tagEntries = append(l.tagEntries, indexEntry{tagKey(sym, e.id), encodePos(pos)})
 	l.pathEntries = append(l.pathEntries, indexEntry{pathKey(e.pathHash, e.id), encodePos(pos)})
 	return nil

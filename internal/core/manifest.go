@@ -20,8 +20,8 @@ package core
 //     trailers of the *referenced* pages plus the sidecar checksum.
 //   - values.dat is append-only; rolling back means truncating to the
 //     length the manifest records.
-//   - The four B+ tree indexes, the symbol table, the statistics file and
-//     the treemap sidecar are written fresh per epoch (e.g.
+//   - The four B+ tree indexes, the symbol table, the statistics synopsis
+//     and the treemap sidecar are written fresh per epoch (e.g.
 //     tagidx-0000002a.pg) and switched over by the manifest replace; the
 //     previous epoch's files are deleted once no pinned snapshot can
 //     still need them (or by recovery, whichever runs first).
@@ -47,12 +47,14 @@ import (
 	"nok/internal/vfs"
 )
 
-// FormatVersion is the store format the manifest commits to. Version 3
-// made tree.pg copy-on-write with an epoch-named page-table sidecar (the
-// "treemap" role), replacing the undo journal; version 2 introduced
-// checksummed pages, file headers, and the manifest itself. Older
-// directories must be rebuilt from the source document.
-const FormatVersion = 3
+// FormatVersion is the store format the manifest commits to. Version 4
+// made the statistics synopsis a required role and dropped the separate
+// per-tag stats file; version 3 made tree.pg copy-on-write with an
+// epoch-named page-table sidecar (the "treemap" role), replacing the undo
+// journal; version 2 introduced checksummed pages, file headers, and the
+// manifest itself. Older directories must be rebuilt from the source
+// document.
+const FormatVersion = 4
 
 // ManifestName is the commit record's file name inside a store directory.
 const ManifestName = "MANIFEST"
@@ -68,19 +70,16 @@ const (
 	// shadow-paging sidecar, one per epoch).
 	roleTreeMap = "treemap"
 	roleTags    = "tags"
-	roleStats   = "stats"
-	roleTagIdx  = "tagidx"
-	roleValIdx  = "validx"
-	roleDewIdx  = "deweyidx"
-	rolePathIdx = "pathidx"
-	// roleSynopsis is the planner's statistics synopsis (internal/stats).
-	// Deliberately NOT in allRoles: the synopsis is auxiliary, and a store
-	// whose synopsis file is missing or damaged must still open and query
-	// (via the heuristic fallback). Recovery treats it leniently.
+	// roleSynopsis is the store's statistics synopsis (internal/stats):
+	// the per-tag counts of the §6.2 heuristic and the planner's input.
 	roleSynopsis = "synopsis"
+	roleTagIdx   = "tagidx"
+	roleValIdx   = "validx"
+	roleDewIdx   = "deweyidx"
+	rolePathIdx  = "pathidx"
 )
 
-var allRoles = []string{roleTree, roleValues, roleTreeMap, roleTags, roleStats, roleTagIdx, roleValIdx, roleDewIdx, rolePathIdx}
+var allRoles = []string{roleTree, roleValues, roleTreeMap, roleTags, roleSynopsis, roleTagIdx, roleValIdx, roleDewIdx, rolePathIdx}
 
 // Typed open/recovery errors. All are wrapped with file detail; test with
 // errors.Is.
@@ -138,8 +137,6 @@ func epochFileName(role string, epoch uint64) string {
 	switch role {
 	case roleTags:
 		ext = ".sym"
-	case roleStats:
-		ext = ".dat"
 	case roleSynopsis:
 		ext = ".bin"
 	case roleTreeMap:
@@ -148,8 +145,19 @@ func epochFileName(role string, epoch uint64) string {
 	return fmt.Sprintf("%s-%08x%s", role, epoch, ext)
 }
 
+// epochNames is the role→file-name map of the store committed at epoch:
+// the fixed-name tree and value files plus every epoch-named role.
+func epochNames(epoch uint64) map[string]string {
+	names := make(map[string]string, len(allRoles))
+	for _, role := range allRoles {
+		names[role] = epochFileName(role, epoch)
+	}
+	names[roleTree], names[roleValues] = fileTree, fileValues
+	return names
+}
+
 // epochFilePat matches any epoch-named store file (for orphan sweeping).
-var epochFilePat = regexp.MustCompile(`^(tags|stats|synopsis|tagidx|validx|deweyidx|pathidx|treemap)-[0-9a-f]{8}\.(sym|dat|bin|pg|vt)$`)
+var epochFilePat = regexp.MustCompile(`^(tags|synopsis|tagidx|validx|deweyidx|pathidx|treemap)-[0-9a-f]{8}\.(sym|bin|pg|vt)$`)
 
 // readManifest loads and validates the manifest of dir.
 func readManifest(fsys vfs.FS, dir string) (*Manifest, error) {
@@ -285,27 +293,6 @@ func recoverStore(fsys vfs.FS, dir string) (*Manifest, RecoveryInfo, error) {
 		switch {
 		case fi.Size() < rec.Size:
 			return nil, info, fmt.Errorf("%w: %s is %d bytes, committed %d", ErrTruncatedFile, rec.Name, fi.Size(), rec.Size)
-		case fi.Size() > rec.Size:
-			if err := fsys.Truncate(path, rec.Size); err != nil {
-				return nil, info, fmt.Errorf("core: truncating %s: %w", rec.Name, err)
-			}
-			info.TruncatedFiles = append(info.TruncatedFiles, rec.Name)
-			mRecTruncates.Inc()
-		}
-	}
-
-	// The synopsis is auxiliary (the planner falls back to the heuristic
-	// without it): a missing or shortened synopsis file drops the role from
-	// the in-memory manifest view instead of failing the open; an
-	// over-length one is truncated back like any other committed file.
-	if rec, ok := m.Files[roleSynopsis]; ok {
-		path := filepath.Join(dir, rec.Name)
-		fi, err := fsys.Stat(path)
-		switch {
-		case err != nil || fi.Size() < rec.Size:
-			// Missing or damaged: forget it; if a damaged file remains on
-			// disk the orphan sweep below removes it.
-			delete(m.Files, roleSynopsis)
 		case fi.Size() > rec.Size:
 			if err := fsys.Truncate(path, rec.Size); err != nil {
 				return nil, info, fmt.Errorf("core: truncating %s: %w", rec.Name, err)

@@ -115,7 +115,7 @@ type QueryStats struct {
 	// forced); comparing it with StrategyUsed exposes silent degradation.
 	Requested Strategy
 	// Planned reports whether the cost-based planner chose the strategies
-	// (StrategyAuto with a fresh statistics synopsis); PlanEpoch is the
+	// (StrategyAuto without DisablePlanner); PlanEpoch is the
 	// synopsis epoch the plan was costed against, and EstRows/EstPages are
 	// the plan's result-cardinality and page-I/O estimates — comparing them
 	// with the actual result count and PagesScanned is what the telemetry

@@ -20,11 +20,7 @@ func parallelFixture(t *testing.T) *DB {
 			1990+i%30, i, i%40, i%150, i%7)
 	}
 	b.WriteString("</lib>")
-	db := loadDB(t, b.String(), smallPages())
-	if err := db.RefreshSynopsis(); err != nil {
-		t.Fatalf("RefreshSynopsis: %v", err)
-	}
-	return db
+	return loadDB(t, b.String(), smallPages())
 }
 
 var parallelQueries = []string{

@@ -2,16 +2,12 @@ package core
 
 import (
 	"math/rand"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
 	"nok/internal/domnav"
 	"nok/internal/samples"
-	"nok/internal/stats"
 	"nok/internal/symtab"
-	"nok/internal/vfs"
 )
 
 // TestPlannerGolden pins the rendered plans for the bundled bibliography:
@@ -137,9 +133,6 @@ func TestPlannerOracleRandom(t *testing.T) {
 		xml := randomXML(rng, 200+rng.Intn(400))
 		db := loadDB(t, xml, smallPages())
 		doc := domnav.MustParse(xml)
-		if !db.SynopsisFresh() {
-			t.Fatal("freshly loaded store lacks a fresh synopsis")
-		}
 		for q := 0; q < 40; q++ {
 			expr := randomQuery(rng)
 			_, stats, err := db.Query(expr, nil)
@@ -162,125 +155,6 @@ func TestPlannerOracleRandom(t *testing.T) {
 	}
 }
 
-// TestPlannerFallbackMissingSynopsis simulates a store from before the
-// synopsis existed: the file is deleted behind the manifest's back. Open
-// must still succeed (recovery drops the auxiliary role), queries must fall
-// back to the heuristic, and RefreshSynopsis must restore planning.
-func TestPlannerFallbackMissingSynopsis(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "db")
-	db, err := LoadXML(dir, strings.NewReader(samples.Bibliography), smallPages())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-	matches, err := filepath.Glob(filepath.Join(dir, "synopsis-*.bin"))
-	if err != nil || len(matches) != 1 {
-		t.Fatalf("synopsis files on disk: %v (%v)", matches, err)
-	}
-	if err := os.Remove(matches[0]); err != nil {
-		t.Fatal(err)
-	}
-
-	db, err = Open(dir, smallPages())
-	if err != nil {
-		t.Fatalf("Open after losing the synopsis: %v", err)
-	}
-	defer db.Close()
-	if db.Synopsis() != nil {
-		t.Error("synopsis resurrected from nowhere")
-	}
-	p, reason, err := db.Plan(`//book`)
-	if err != nil || p != nil || !strings.Contains(reason, "no statistics synopsis") {
-		t.Errorf("Plan = %v, %q, %v; want nil plan with a missing-synopsis reason", p, reason, err)
-	}
-	got := queryIDs(t, db, samples.PaperQuery, nil)
-	ms, st, err := db.Query(samples.PaperQuery, nil)
-	if err != nil || st.Planned {
-		t.Fatalf("heuristic fallback: err=%v planned=%v", err, st.Planned)
-	}
-	if len(ms) != len(got) || len(got) != 2 {
-		t.Fatalf("fallback results: %v, want both Stevens books", got)
-	}
-
-	if err := db.RefreshSynopsis(); err != nil {
-		t.Fatalf("RefreshSynopsis: %v", err)
-	}
-	if !db.SynopsisFresh() {
-		t.Fatal("refresh did not produce a fresh synopsis")
-	}
-	if _, st, err = db.Query(samples.PaperQuery, nil); err != nil || !st.Planned {
-		t.Fatalf("after refresh: err=%v planned=%v", err, st.Planned)
-	}
-
-	// The refreshed synopsis is committed: it survives a close/reopen.
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-	db, err = Open(dir, smallPages())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !db.SynopsisFresh() {
-		t.Error("refreshed synopsis lost across reopen")
-	}
-}
-
-// TestPlannerFallbackStaleSynopsis rewrites the committed synopsis with a
-// wrong epoch: the store must open, report staleness, and keep answering
-// through the heuristic.
-func TestPlannerFallbackStaleSynopsis(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "db")
-	db, err := LoadXML(dir, strings.NewReader(samples.Bibliography), smallPages())
-	if err != nil {
-		t.Fatal(err)
-	}
-	syn := db.Synopsis()
-	storeEpoch := db.Epoch()
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Re-encode the synopsis claiming another epoch and recommit it, the
-	// way a partially-failed refresh could leave it.
-	syn.Epoch = storeEpoch + 7
-	fsys := vfs.OS
-	m, err := readManifest(fsys, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	name := m.Files[roleSynopsis].Name
-	if err := vfs.WriteFileAtomic(fsys, filepath.Join(dir, name), stats.Encode(syn), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	rec, err := record(fsys, dir, name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.Files[roleSynopsis] = rec
-	if err := writeManifest(fsys, dir, m); err != nil {
-		t.Fatal(err)
-	}
-
-	db, err = Open(dir, smallPages())
-	if err != nil {
-		t.Fatalf("Open with stale synopsis: %v", err)
-	}
-	defer db.Close()
-	if db.Synopsis() == nil || db.SynopsisFresh() {
-		t.Fatalf("synopsis = %v, fresh = %v; want loaded but stale", db.Synopsis(), db.SynopsisFresh())
-	}
-	p, reason, err := db.Plan(`//book`)
-	if err != nil || p != nil || !strings.Contains(reason, "stale") {
-		t.Errorf("Plan = %v, %q, %v; want nil plan with a staleness reason", p, reason, err)
-	}
-	ms, st, err := db.Query(samples.PaperQuery, nil)
-	if err != nil || st.Planned || len(ms) != 2 {
-		t.Fatalf("stale fallback: err=%v planned=%v results=%d", err, st.Planned, len(ms))
-	}
-}
-
 // TestSynopsisAcrossUpdates: every committed update rebuilds the synopsis at
 // the new epoch, so the planner stays available and plans are re-costed.
 func TestSynopsisAcrossUpdates(t *testing.T) {
@@ -294,8 +168,8 @@ func TestSynopsisAcrossUpdates(t *testing.T) {
 		`<book year="2024"><title>Planner Book</title><author><last>Doe</last><first>J.</first></author><price>10</price></book>`)); err != nil {
 		t.Fatalf("InsertFragment: %v", err)
 	}
-	if !db.SynopsisFresh() {
-		t.Fatalf("synopsis stale after insert: synopsis epoch %d, store %d", db.Synopsis().Epoch, db.Epoch())
+	if db.Synopsis().Epoch != db.Epoch() {
+		t.Fatalf("synopsis epoch %d after insert, store %d", db.Synopsis().Epoch, db.Epoch())
 	}
 	ms, st, err := db.Query(`//book[author]`, nil)
 	if err != nil || !st.Planned || st.PlanEpoch != db.Epoch() {
@@ -311,8 +185,8 @@ func TestSynopsisAcrossUpdates(t *testing.T) {
 	if err := db.DeleteSubtree(ms[len(ms)-1].ID); err != nil {
 		t.Fatalf("DeleteSubtree: %v", err)
 	}
-	if !db.SynopsisFresh() {
-		t.Fatal("synopsis stale after delete")
+	if db.Synopsis().Epoch != db.Epoch() {
+		t.Fatalf("synopsis epoch %d after delete, store %d", db.Synopsis().Epoch, db.Epoch())
 	}
 	if _, st, err = db.Query(`//book[author]`, nil); err != nil || !st.Planned {
 		t.Fatalf("after delete: err=%v planned=%v", err, st.Planned)

@@ -4,8 +4,8 @@ package core
 //
 // A Snapshot is one committed epoch of the store, immutable for its whole
 // lifetime: the string tree pinned to a copy-on-write page-table version
-// (internal/pager), the epoch's symbol table, statistics and B+ tree index
-// files, and the shared append-only value store. Every query evaluates
+// (internal/pager), the epoch's symbol table, statistics synopsis and B+
+// tree index files, and the shared append-only value store. Every query evaluates
 // against exactly one Snapshot, so writers never block readers — a commit
 // builds the next Snapshot off to the side and publishes it with one
 // atomic pointer swap.
@@ -72,15 +72,10 @@ type Snapshot struct {
 
 	tagIdxFile, valIdxFile, dewIdxFile, pathIdxFile *pager.File
 
-	// tagCount[sym] is the number of nodes with that tag — the §6.2
-	// selectivity statistic.
-	tagCount map[symtab.Sym]uint64
-	total    uint64
-
-	// syn is the statistics synopsis for this epoch (nil when the store
-	// has none). It is atomic because RefreshSynopsis installs a rebuilt
-	// synopsis into the *current* view while readers consult it.
-	syn       atomic.Pointer[stats.Synopsis]
+	// syn is the statistics synopsis committed at this epoch: the §6.2
+	// per-tag counts and the cost-based planner's input. Set before the
+	// view is published and never written afterwards.
+	syn       *stats.Synopsis
 	planMu    sync.Mutex
 	planCache map[string]*planner.Plan
 

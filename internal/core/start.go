@@ -18,8 +18,8 @@ import (
 type Strategy uint8
 
 const (
-	// StrategyAuto asks the cost-based planner when a fresh statistics
-	// synopsis exists, otherwise applies the paper's heuristic: use the
+	// StrategyAuto asks the cost-based planner; with the planner disabled
+	// (QueryOptions.DisablePlanner) it applies the paper's heuristic: use the
 	// value index when an (equality) value constraint exists, otherwise the
 	// tag-name index when the most selective tag is selective enough,
 	// otherwise scan.
@@ -128,7 +128,7 @@ func (db *Snapshot) startsAuto(nt *pattern.NoKTree, nc *stree.NavCounters) ([]Ma
 		return ms, StrategyValueIndex, err
 	}
 	node, count, ok := db.mostSelectiveTag(nt)
-	if ok && count <= db.total/scanThresholdDiv {
+	if ok && count <= db.syn.TotalNodes/scanThresholdDiv {
 		ms, err := db.startsFromTagNode(nt, node, nc)
 		return ms, StrategyTagIndex, err
 	}
@@ -160,8 +160,8 @@ func (db *Snapshot) startsByScan(nt *pattern.NoKTree, nc *stree.NavCounters) ([]
 }
 
 // mostSelectiveTag picks the NoK-tree node with a concrete tag whose
-// document-wide node count is smallest (free lookup in the load-time
-// statistics).
+// document-wide node count is smallest (free lookup in the statistics
+// synopsis).
 func (db *Snapshot) mostSelectiveTag(nt *pattern.NoKTree) (depthNode, uint64, bool) {
 	best := depthNode{}
 	var bestCount uint64
@@ -170,7 +170,7 @@ func (db *Snapshot) mostSelectiveTag(nt *pattern.NoKTree) (depthNode, uint64, bo
 	rec = func(n *pattern.Node, d int) {
 		if !n.IsVirtualRoot() && n.Test != "*" {
 			if sym, ok := db.Tags.Lookup(n.Test); ok {
-				if c := db.tagCount[sym]; !found || c < bestCount {
+				if c := db.syn.TagCount(sym); !found || c < bestCount {
 					best = depthNode{node: n, depth: d, sym: sym}
 					bestCount = c
 					found = true

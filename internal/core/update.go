@@ -35,7 +35,7 @@ import (
 //     the current epoch references stays byte-identical on disk.
 //  2. The mutation runs against a writer clone of the current snapshot's
 //     tree; concurrent readers keep evaluating on their pinned views.
-//  3. The indexes, symbols, statistics and synopsis are rebuilt into
+//  3. The indexes, symbols and statistics synopsis are rebuilt into
 //     fresh epoch-named files; the previous epoch's files are untouched.
 //  4. Commit: fsync everything, write the new epoch's page-table sidecar
 //     (treemap), then atomically replace the MANIFEST — the commit point.
@@ -92,9 +92,9 @@ func (db *DB) DeleteSubtree(id dewey.ID) error {
 		return err
 	}
 	// A delete interns nothing, so the new epoch shares the committed
-	// symbol table (tables are immutable once committed). Tag counts and
-	// total are re-derived by the rebuild scan (a delete's synopsis delta
-	// is not collectible from the parse, so no precomputed synopsis).
+	// symbol table (tables are immutable once committed). The synopsis is
+	// re-derived by the rebuild scan (a delete's synopsis delta is not
+	// collectible from the parse, so no precomputed synopsis).
 	return db.applyUpdate(db.Tags, carried, nil, func(t *stree.Store) error {
 		return t.DeleteSubtree(pos)
 	})
@@ -119,11 +119,10 @@ func (db *DB) applyUpdate(newTags *symtab.Table, carried map[string]uint64, preS
 		return db.abortUpdate(newEpoch, err)
 	}
 	next := &Snapshot{
-		db:       db,
-		epoch:    newEpoch,
-		Tags:     newTags,
-		Values:   db.Values,
-		tagCount: make(map[symtab.Sym]uint64),
+		db:     db,
+		epoch:  newEpoch,
+		Tags:   newTags,
+		Values: db.Values,
 	}
 	if err := db.rebuildIndexes(next, wtree, carried, preSyn); err != nil {
 		next.closeFiles()
@@ -147,8 +146,10 @@ func (db *DB) applyUpdate(newTags *symtab.Table, carried map[string]uint64, preS
 // fully usable on the old epoch. Only an abort failure (the transaction's
 // state can no longer be trusted) marks the DB broken.
 func (db *DB) abortUpdate(newEpoch uint64, cause error) error {
-	for _, role := range []string{roleTags, roleStats, roleSynopsis, roleTagIdx, roleValIdx, roleDewIdx, rolePathIdx, roleTreeMap} {
-		_ = db.fsys.Remove(db.join(epochFileName(role, newEpoch)))
+	for role, name := range epochNames(newEpoch) {
+		if role != roleTree && role != roleValues {
+			_ = db.fsys.Remove(db.join(name))
+		}
 	}
 	if err := db.treeFile.AbortCOW(); err != nil {
 		db.broken = true
@@ -165,18 +166,7 @@ func (db *DB) abortUpdate(newEpoch uint64, cause error) error {
 // when false the caller can still abort cleanly.
 func (db *DB) commitEpoch(next *Snapshot, wtree *stree.Store) (committed bool, err error) {
 	newEpoch := next.epoch
-	names := map[string]string{
-		roleTree:     fileTree,
-		roleValues:   fileValues,
-		roleTreeMap:  epochFileName(roleTreeMap, newEpoch),
-		roleTags:     epochFileName(roleTags, newEpoch),
-		roleStats:    epochFileName(roleStats, newEpoch),
-		roleSynopsis: epochFileName(roleSynopsis, newEpoch),
-		roleTagIdx:   epochFileName(roleTagIdx, newEpoch),
-		roleValIdx:   epochFileName(roleValIdx, newEpoch),
-		roleDewIdx:   epochFileName(roleDewIdx, newEpoch),
-		rolePathIdx:  epochFileName(rolePathIdx, newEpoch),
-	}
+	names := epochNames(newEpoch)
 	if err := db.Values.Flush(); err != nil {
 		return false, err
 	}
@@ -288,8 +278,8 @@ func prefixEq(id, other dewey.ID, n int) bool {
 	return true
 }
 
-// rebuildIndexes recreates the four B+ trees (and the symbol/statistics/
-// synopsis files) from a scan of the already-mutated writer tree into
+// rebuildIndexes recreates the four B+ trees (and the symbol and synopsis
+// files) from a scan of the already-mutated writer tree into
 // fresh files named for next.epoch, filling next's in-memory state. The
 // previous epoch's files and open handles are untouched — they remain the
 // committed state readers are using. valOffByDewey carries the value
@@ -298,11 +288,12 @@ func prefixEq(id, other dewey.ID, n int) bool {
 // collection; otherwise the synopsis is rebuilt from the scan.
 func (db *DB) rebuildIndexes(next *Snapshot, wtree *stree.Store, valOffByDewey map[string]uint64, preSyn *stats.Synopsis) error {
 	newEpoch := next.epoch
-	pageSize := db.treeFile.PageSize()
-	if pageSize < 1024 {
-		pageSize = pager.DefaultPageSize
+	// The new index files keep the committed ones' page size and the pool
+	// size the store was opened with.
+	pageSize := db.Snapshot.dewIdxFile.PageSize()
+	idxOpts := func() *pager.Options {
+		return &pager.Options{PageSize: pageSize, PoolPages: db.poolPages, FS: db.fsys}
 	}
-	idxOpts := func() *pager.Options { return &pager.Options{PageSize: pageSize, FS: db.fsys} }
 	var err error
 	if next.tagIdxFile, err = pager.Create(db.join(epochFileName(roleTagIdx, newEpoch)), idxOpts()); err != nil {
 		return err
@@ -338,8 +329,6 @@ func (db *DB) rebuildIndexes(next *Snapshot, wtree *stree.Store, valOffByDewey m
 	hashStack := []uint64{pathHashSeed}
 	var scanErr error
 	err = wtree.Scan(func(pos stree.Pos, sym symtab.Sym, level int, id dewey.ID) bool {
-		next.tagCount[sym]++
-		next.total++
 		if sb != nil {
 			sb.Node(sym, level)
 		}
@@ -381,25 +370,20 @@ func (db *DB) rebuildIndexes(next *Snapshot, wtree *stree.Store, valOffByDewey m
 	if scanErr != nil {
 		return scanErr
 	}
-	if err := saveStatsFile(db.fsys, filepath.Join(db.dir, epochFileName(roleStats, newEpoch)), next.Tags, next.tagCount, next.total); err != nil {
-		return err
-	}
 	if err := next.Tags.SaveFS(db.fsys, filepath.Join(db.dir, epochFileName(roleTags, newEpoch))); err != nil {
 		return err
 	}
-	var syn *stats.Synopsis
 	if preSyn != nil {
 		preSyn.Epoch = newEpoch
 		preSyn.TreePages = uint64(wtree.NumPages())
-		syn = preSyn
+		next.syn = preSyn
 	} else {
-		syn = sb.Finish(newEpoch, uint64(wtree.NumPages()))
+		next.syn = sb.Finish(newEpoch, uint64(wtree.NumPages()))
 	}
 	if err := vfs.WriteFileAtomic(db.fsys,
-		filepath.Join(db.dir, epochFileName(roleSynopsis, newEpoch)), stats.Encode(syn), 0o644); err != nil {
+		filepath.Join(db.dir, epochFileName(roleSynopsis, newEpoch)), stats.Encode(next.syn), 0o644); err != nil {
 		return err
 	}
-	next.syn.Store(syn)
 	for _, t := range []*btree.Tree{next.TagIdx, next.ValIdx, next.DeweyIdx, next.PathIdx} {
 		if err := t.Flush(); err != nil {
 			return err

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"nok/internal/dewey"
 	"nok/internal/domnav"
+	"nok/internal/pager"
 	"nok/internal/samples"
 )
 
@@ -130,4 +132,55 @@ func TestUpdateThenPersist(t *testing.T) {
 	if len(got) != 1 {
 		t.Fatalf("title query after reopen: %v", got)
 	}
+}
+
+// TestIndexOptionsSurviveCommit: the index files a commit rebuilds keep
+// the store's index page size and the pool size it was opened with,
+// across commits and reopens alike.
+func TestIndexOptionsSurviveCommit(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "db")
+	opts := &Options{PoolPages: 16, IndexPageSize: 2048}
+	check := func(db *DB, when string) {
+		t.Helper()
+		for _, f := range []struct {
+			name string
+			pf   *pager.File
+		}{
+			{"tagidx", db.tagIdxFile},
+			{"validx", db.valIdxFile},
+			{"deweyidx", db.dewIdxFile},
+			{"pathidx", db.pathIdxFile},
+		} {
+			if got := f.pf.PoolCapacity(); got != 16 {
+				t.Errorf("%s: %s pool = %d frames, want 16", when, f.name, got)
+			}
+			if got := f.pf.PageSize(); got != 2048 {
+				t.Errorf("%s: %s page size = %d, want 2048", when, f.name, got)
+			}
+		}
+	}
+	commit := func(db *DB) {
+		t.Helper()
+		if err := db.InsertFragment(mustID(t, "0"), strings.NewReader(`<book><title>x</title></book>`)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	db, err := LoadXML(dir, strings.NewReader(samples.Bibliography), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(db, "after load")
+	commit(db)
+	check(db, "after first commit")
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if db, err = Open(dir, opts); err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	check(db, "after reopen")
+	commit(db)
+	check(db, "after commit on the reopened store")
 }

@@ -50,7 +50,7 @@ func (r *VerifyResult) OK() bool { return len(r.Issues) == 0 }
 //
 // The quick form checks the commit manifest against the files on disk
 // (presence and committed sizes) and the cheap cross-component invariants:
-// the four index key counts, the statistics totals, and the node count all
+// the four index key counts, the synopsis totals, and the node count all
 // describing the same document.
 //
 // With deep set it additionally reads every physical page of the five
@@ -99,13 +99,7 @@ func (db *DB) verifyManifest(deep bool, emit func(string, error)) {
 		emit("manifest", fmt.Errorf("store has no manifest loaded"))
 		return
 	}
-	roles := allRoles
-	if _, ok := db.manifest.Files[roleSynopsis]; ok {
-		// The synopsis is optional at open time, but once committed it must
-		// verify like any other store file.
-		roles = append(append([]string(nil), allRoles...), roleSynopsis)
-	}
-	for _, role := range roles {
+	for _, role := range allRoles {
 		rec, ok := db.manifest.Files[role]
 		if !ok {
 			emit("manifest", fmt.Errorf("role %s missing from manifest", role))
@@ -137,7 +131,7 @@ func (db *DB) verifyManifest(deep bool, emit func(string, error)) {
 }
 
 // verifyCounts checks the cheap cross-component invariants: every index
-// and the statistics file describe the same number of nodes.
+// and the statistics synopsis describe the same number of nodes.
 func (db *DB) verifyCounts(emit func(string, error)) {
 	nodes := db.Tree.NodeCount()
 	for _, idx := range []struct {
@@ -157,15 +151,15 @@ func (db *DB) verifyCounts(emit func(string, error)) {
 	if c := db.ValIdx.Count(); c > nodes {
 		emit("cross", fmt.Errorf("validx holds %d keys, more than the %d nodes", c, nodes))
 	}
-	if db.total != nodes {
-		emit("stats", fmt.Errorf("stats total %d, tree holds %d nodes", db.total, nodes))
+	if db.syn.TotalNodes != nodes {
+		emit("stats", fmt.Errorf("synopsis total %d, tree holds %d nodes", db.syn.TotalNodes, nodes))
 	}
 	var sum uint64
-	for _, c := range db.tagCount {
-		sum += c
+	for _, ts := range db.syn.Tags {
+		sum += ts.Count
 	}
 	if sum != nodes {
-		emit("stats", fmt.Errorf("per-tag counts sum to %d, tree holds %d nodes", sum, nodes))
+		emit("stats", fmt.Errorf("synopsis per-tag counts sum to %d, tree holds %d nodes", sum, nodes))
 	}
 }
 

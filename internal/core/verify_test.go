@@ -87,7 +87,7 @@ func TestVerifyDetectsFlippedByte(t *testing.T) {
 }
 
 // TestVerifyDetectsCountMismatch: quick verify catches cross-component
-// disagreement (here simulated by corrupting the in-memory stats).
+// disagreement (here simulated by corrupting the in-memory synopsis).
 func TestVerifyDetectsCountMismatch(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "db")
 	db, err := LoadXML(dir, strings.NewReader(samples.Bibliography), nil)
@@ -95,10 +95,10 @@ func TestVerifyDetectsCountMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	db.total += 3
+	db.syn.TotalNodes += 3
 	r := db.Verify(false)
 	if r.OK() {
-		t.Error("quick verify missed a stats total mismatch")
+		t.Error("quick verify missed a synopsis total mismatch")
 	}
 }
 

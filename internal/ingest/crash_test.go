@@ -35,7 +35,7 @@ func (t coreTarget) Epoch() uint64 { return t.db.Epoch() }
 
 const ingestCrashDoc = `<col><doc n="seed"><v>0</v></doc></col>`
 
-// ingestCrashWorkload opens the store through fsys and streams two
+// ingestCrashWorkload opens the store through fsys and streams three
 // deterministic 3-document batches through a pipeline (BatchDocs 4 and a
 // huge interval mean only the Flush barriers trigger commits, so the
 // file-system op sequence is identical on every run). Any step may fail
@@ -48,7 +48,7 @@ func ingestCrashWorkload(dir string, fsys vfs.FS) error {
 	}
 	p := NewPipeline(coreTarget{db}, Options{BatchDocs: 4, BatchInterval: time.Hour})
 	werr := func() error {
-		for batch := 0; batch < 2; batch++ {
+		for batch := 0; batch < 3; batch++ {
 			for i := 0; i < 3; i++ {
 				doc := fmt.Sprintf(`<doc n="c%d"><v>x</v></doc>`, batch*3+i)
 				if err := p.Submit([]byte(doc)); err != nil {
@@ -73,9 +73,9 @@ func ingestCrashWorkload(dir string, fsys vfs.FS) error {
 }
 
 // TestCrashIngestSweep kills the "process" at every mutating file-system
-// operation of a two-batch ingest and requires that recovery always lands
-// on a committed batch boundary: node count and epoch of the base, the
-// post-batch-1, or the post-batch-2 commit, agreeing with each other, with
+// operation of a three-batch ingest and requires that recovery always lands
+// on a committed batch boundary: node count and epoch of the base or of one
+// of the three post-batch commits, agreeing with each other, with
 // a clean deep Verify, no MVCC debris, and — the ingest-specific
 // obligation — a synopsis that matches the recovered store exactly, so the
 // planner is never left with stale statistics after a crash mid-stream.
@@ -84,7 +84,7 @@ func TestCrashIngestSweep(t *testing.T) {
 		t.Skip("sweep re-runs the ingest workload once per fault point")
 	}
 
-	// Probe run: record the three committed states and the op count.
+	// Probe run: record the four committed states and the op count.
 	probe := t.TempDir() + "/probe"
 	db, err := core.LoadXML(probe, strings.NewReader(ingestCrashDoc), nil)
 	if err != nil {
@@ -106,17 +106,20 @@ func TestCrashIngestSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n2 := db.NodeCount()
-	if got := db.Epoch(); got != baseEpoch+2 {
-		t.Fatalf("probe ended on epoch %d, want %d (exactly two group commits)", got, baseEpoch+2)
+	n3 := db.NodeCount()
+	if got := db.Epoch(); got != baseEpoch+3 {
+		t.Fatalf("probe ended on epoch %d, want %d (exactly three group commits)", got, baseEpoch+3)
 	}
-	// Both batches are the same shape, so the mid state is the midpoint.
-	n1 := n0 + (n2-n0)/2
+	// All batches are the same shape, so each adds a third of the nodes.
+	if (n3-n0)%3 != 0 {
+		t.Fatalf("three equal batches added %d nodes, not a multiple of 3", n3-n0)
+	}
+	per := (n3 - n0) / 3
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	wantNodes := map[uint64]uint64{baseEpoch: n0, baseEpoch + 1: n1, baseEpoch + 2: n2}
-	t.Logf("sweeping %d fault points × 2 modes (n0=%d n1=%d n2=%d baseEpoch=%d)", total, n0, n1, n2, baseEpoch)
+	wantNodes := map[uint64]uint64{baseEpoch: n0, baseEpoch + 1: n0 + per, baseEpoch + 2: n0 + 2*per, baseEpoch + 3: n3}
+	t.Logf("sweeping %d fault points × 2 modes (n0=%d n3=%d per batch=%d baseEpoch=%d)", total, n0, n3, per, baseEpoch)
 
 	for _, mode := range []faultfs.Mode{faultfs.ErrOp, faultfs.ShortWrite} {
 		modeName := map[faultfs.Mode]string{faultfs.ErrOp: "errop", faultfs.ShortWrite: "shortwrite"}[mode]
@@ -154,7 +157,7 @@ func TestCrashIngestSweep(t *testing.T) {
 				e := re.Epoch()
 				want, ok := wantNodes[e]
 				if !ok {
-					t.Fatalf("epoch %d after crash at op %d; want within [%d, %d]", e, i, baseEpoch, baseEpoch+2)
+					t.Fatalf("epoch %d after crash at op %d; want within [%d, %d]", e, i, baseEpoch, baseEpoch+3)
 				}
 				if n := re.NodeCount(); n != want {
 					t.Errorf("epoch %d with node count %d after crash at op %d; want %d — recovery landed between batch boundaries", e, n, i, want)
@@ -165,8 +168,8 @@ func TestCrashIngestSweep(t *testing.T) {
 				if syn == nil {
 					t.Fatalf("no synopsis after crash at op %d", i)
 				}
-				if !re.SynopsisFresh() {
-					t.Errorf("stale synopsis (epoch %d) for store epoch %d after crash at op %d", syn.Epoch, e, i)
+				if syn.Epoch != re.Epoch() {
+					t.Errorf("synopsis epoch %d for store epoch %d after crash at op %d", syn.Epoch, e, i)
 				}
 				if syn.TotalNodes != re.NodeCount() {
 					t.Errorf("synopsis claims %d nodes, store has %d, after crash at op %d", syn.TotalNodes, re.NodeCount(), i)

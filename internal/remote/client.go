@@ -723,11 +723,6 @@ func (c *Client) Verify(deep bool) *nok.VerifyResult {
 	return res
 }
 
-// RefreshStats is a no-op for remote shards: the remote process owns its
-// statistics synopsis and refreshes it on its own schedule (nokserve
-// -refresh-stats or an operator hitting the local CLI).
-func (c *Client) RefreshStats() error { return nil }
-
 // ---- background prober ------------------------------------------------------
 
 func (c *Client) probeLoop() {

@@ -618,10 +618,8 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 }
 
 // handlePlan prints the cost-based planner's plan for a query without
-// executing it — EXPLAIN to /explain?analyze=1's EXPLAIN ANALYZE. When the
-// store has no fresh statistics synopsis, the response says so and names the
-// heuristic fallback instead of failing. Planning reads only the in-memory
-// synopsis, so it doesn't pay for a worker slot.
+// executing it — EXPLAIN to /explain?analyze=1's EXPLAIN ANALYZE. Planning
+// reads only the in-memory synopsis, so it doesn't pay for a worker slot.
 func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	if !s.beginRequest() {
 		writeError(w, http.StatusServiceUnavailable, "server is draining")

@@ -48,7 +48,6 @@ type Backend interface {
 	// their real pruning happens server-side inside Scatter, where it
 	// costs no extra round trip.
 	ProvablyEmpty(expr string) (bool, string, error)
-	RefreshStats() error
 	Verify(deep bool) *nok.VerifyResult
 	Close() error
 }

@@ -329,23 +329,6 @@ func (st *Store) TagCount(name string) uint64 {
 	return total
 }
 
-// RefreshStats rebuilds every shard's statistics synopsis — pruning and
-// cost-based planning degrade to heuristics on shards with stale stats, so
-// run this after bulk mutations.
-func (st *Store) RefreshStats() error {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.closed {
-		return ErrClosed
-	}
-	for s, sub := range st.shards {
-		if err := sub.RefreshStats(); err != nil {
-			return fmt.Errorf("shard %d: %w", s, err)
-		}
-	}
-	return nil
-}
-
 // Synopsis merges the shards' synopsis summaries by tag and path name.
 // Totals are exact sums over shards (the broadcast root replicas included);
 // the top-n lists merge each shard's top-n, so a tag only narrowly popular
@@ -362,12 +345,8 @@ func (st *Store) Synopsis(n int) nok.SynopsisInfo {
 		if !si.Present {
 			out.Present = false
 		}
-		out.Stale = out.Stale || si.Stale
 		if si.Epoch > out.Epoch {
 			out.Epoch = si.Epoch
-		}
-		if si.StoreEpoch > out.StoreEpoch {
-			out.StoreEpoch = si.StoreEpoch
 		}
 		out.TotalNodes += si.TotalNodes
 		out.ValueNodes += si.ValueNodes

@@ -33,6 +33,7 @@ import (
 	"nok"
 	"nok/internal/core"
 	"nok/internal/remote"
+	"nok/internal/vfs"
 )
 
 // Strategy selects how top-level documents are routed to shards.
@@ -390,12 +391,7 @@ func saveManifest(dir string, m *Manifest) error {
 	if err != nil {
 		return err
 	}
-	buf = append(buf, '\n')
-	tmp := filepath.Join(dir, ManifestName+".tmp")
-	if err := os.WriteFile(tmp, buf, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, filepath.Join(dir, ManifestName))
+	return vfs.WriteFileAtomic(vfs.OS, filepath.Join(dir, ManifestName), append(buf, '\n'), 0o644)
 }
 
 func loadManifest(dir string) (*Manifest, error) {

@@ -21,7 +21,8 @@ const codecMagic = "NOKSY1"
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // ErrCorrupt reports a synopsis file that fails its checksum or does not
-// parse; callers treat it as "no synopsis" and fall back to the heuristic.
+// parse. The store's Open also wraps it for a synopsis committed at
+// another epoch; either way the store does not open.
 var ErrCorrupt = errors.New("stats: synopsis corrupt")
 
 // Encode serializes the synopsis.

@@ -4,10 +4,10 @@
 // paths with cardinalities, keyed by the same incremental FNV-1a hash the
 // path index uses), and a count-min sketch estimating the selectivity of
 // indexed values. The synopsis is collected in the same pass that builds
-// the store (bulk load, or the index-rebuild scan after an update), so it
-// is always committed at the store's epoch; a synopsis whose epoch differs
-// from the store's is stale and the planner falls back to the §6.2
-// heuristic.
+// the store (bulk load, an incremental merge on append, or the
+// index-rebuild scan after a delete) and committed at the store's epoch.
+// It is the store's only statistics file: its per-tag counts also drive
+// the paper's §6.2 heuristic.
 //
 // The design follows Arion et al., "Path Summaries and Path Partitioning
 // in Modern XML Databases" (see PAPERS.md): a path summary small enough to
@@ -81,8 +81,8 @@ type PathStat struct {
 
 // Synopsis is the persistent statistics snapshot of one store epoch.
 type Synopsis struct {
-	// Epoch is the store epoch the synopsis was built at; a mismatch with
-	// the store's committed epoch marks the synopsis stale.
+	// Epoch is the store epoch the synopsis was built at; opening a store
+	// whose synopsis is from another epoch fails.
 	Epoch uint64
 
 	TotalNodes uint64

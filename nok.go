@@ -166,7 +166,7 @@ type QueryStats = core.QueryStats
 // reader releases them.
 type Store struct {
 	// mu serializes administrative operations (Insert, Delete, Verify,
-	// RefreshStats, Close) at the Store level. Queries do not take it —
+	// Close) at the Store level. Queries do not take it —
 	// they pin a snapshot instead.
 	mu sync.RWMutex
 	db *core.DB
@@ -354,9 +354,7 @@ func ExplainAnalyze(st *Store, expr string) (string, error) {
 // Plan renders the cost-based plan for a query without executing it (the
 // EXPLAIN to QueryAnalyze's EXPLAIN ANALYZE): per-partition access paths
 // with estimated starting points, matches and pages, and the bottom-up
-// evaluation order. When the planner cannot run — the store predates the
-// statistics synopsis, or the synopsis is stale — the rendering says so
-// and names the fallback.
+// evaluation order.
 func (s *Store) Plan(expr string) (string, error) {
 	v, err := s.acquire()
 	if err != nil {
@@ -368,7 +366,7 @@ func (s *Store) Plan(expr string) (string, error) {
 
 // ProvablyEmpty reports whether statistics alone prove the query returns
 // nothing from this store: a concrete tag test naming a tag the store has
-// zero of, or (with a fresh synopsis) a non-numeric equality literal whose
+// zero of, or a non-numeric equality literal whose synopsis
 // count-min estimate is zero. The reason string names the proof. The
 // sharded executor (internal/shard) uses this to skip shards without
 // touching their pages.
@@ -387,7 +385,7 @@ func (s *Store) ProvablyEmpty(expr string) (bool, string, error) {
 }
 
 // SynopsisInfo summarizes the store's statistics synopsis (the planner's
-// input): totals, staleness, and the top-n tags and root-to-node paths by
+// input): totals and the top-n tags and root-to-node paths by
 // cardinality. See internal/core for field semantics.
 type SynopsisInfo = core.SynopsisInfo
 
@@ -399,18 +397,6 @@ func (s *Store) Synopsis(n int) SynopsisInfo {
 	}
 	defer v.Release()
 	return v.SynopsisInfo(n)
-}
-
-// RefreshStats rebuilds the statistics synopsis from the committed store
-// and commits it at the current epoch — the upgrade path for stores
-// created before the synopsis existed (updates refresh it automatically).
-func (s *Store) RefreshStats() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	return mapClosed(s.db.RefreshSynopsis())
 }
 
 // MetricsText renders the process-wide metrics registry (pager I/O, B+-tree
