@@ -4,10 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"strings"
 
 	"nok/internal/dewey"
-	"nok/internal/sax"
 	"nok/internal/stats"
 	"nok/internal/stree"
 	"nok/internal/symtab"
@@ -152,19 +150,16 @@ type pendingValue struct {
 // intern into the cloned table, and an error discards both.
 func (db *DB) parseFragment(r io.Reader, enc *stree.SubtreeEncoder, newTags *symtab.Table,
 	parent dewey.ID, ord uint32, pend *[]pendingValue, delta *stats.Builder) error {
+	errRoot := errors.New("core: fragment must have a single root element")
 	// Fragment roots sit one level below the parent; len(parent) is the
-	// parent's depth (the document root's ID "0" has length 1, depth 1).
-	baseLevel := len(parent)
+	// parent's depth (the document root's ID "0" has length 1, depth 1),
+	// so a node's level is len(parent) plus its depth in the fragment.
 	type open struct {
-		id    dewey.ID
-		text  strings.Builder
-		kids  uint32
-		level int
+		id   dewey.ID
+		kids uint32
 	}
-	var stack []*open
-	rootSeen := false
-	sc := sax.NewScanner(r)
-	openElem := func(name string) error {
+	var stack []open
+	rooted, err := walkSubjectTree(r, func(name string) error {
 		sym, err := newTags.Intern(name)
 		if err != nil {
 			return err
@@ -172,75 +167,31 @@ func (db *DB) parseFragment(r io.Reader, enc *stree.SubtreeEncoder, newTags *sym
 		if err := enc.Open(sym); err != nil {
 			return err
 		}
-		var id dewey.ID
-		if len(stack) == 0 {
-			if rootSeen {
-				return errors.New("core: fragment must have a single root element")
-			}
-			rootSeen = true
-			id = parent.Child(ord)
-		} else {
-			p := stack[len(stack)-1]
+		id := parent.Child(ord)
+		if len(stack) > 0 {
+			p := &stack[len(stack)-1]
 			p.kids++
 			id = p.id.Child(p.kids)
 		}
-		level := baseLevel + len(stack) + 1
-		delta.Node(sym, level)
-		stack = append(stack, &open{id: id, level: level})
+		stack = append(stack, open{id: id})
+		delta.Node(sym, len(parent)+len(stack))
 		return nil
-	}
-	closeElem := func(trim bool) error {
+	}, func(text string) error {
 		if err := enc.Close(); err != nil {
 			return err
 		}
-		e := stack[len(stack)-1]
+		id := stack[len(stack)-1].id
 		stack = stack[:len(stack)-1]
-		text := e.text.String()
-		if trim {
-			text = strings.TrimSpace(text)
-		}
 		if text != "" {
-			*pend = append(*pend, pendingValue{id: e.id.String(), text: text})
-			delta.Value(e.level, vstore.Hash([]byte(text)))
+			*pend = append(*pend, pendingValue{id: id.String(), text: text})
+			delta.Value(len(parent)+len(stack)+1, vstore.Hash([]byte(text)))
 		}
 		return nil
+	}, func(int) error { return errRoot })
+	if err == nil && !rooted {
+		err = errRoot
 	}
-	for {
-		ev, err := sc.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return err
-		}
-		switch ev.Kind {
-		case sax.StartElement:
-			if err := openElem(ev.Name); err != nil {
-				return err
-			}
-			for _, a := range ev.Attrs {
-				if err := openElem(symtab.AttrPrefix + a.Name); err != nil {
-					return err
-				}
-				stack[len(stack)-1].text.WriteString(a.Value)
-				if err := closeElem(false); err != nil {
-					return err
-				}
-			}
-		case sax.EndElement:
-			if err := closeElem(true); err != nil {
-				return err
-			}
-		case sax.Text:
-			if len(stack) > 0 {
-				stack[len(stack)-1].text.WriteString(ev.Data)
-			}
-		}
-	}
-	if !rootSeen {
-		return errors.New("core: fragment must have a single root element")
-	}
-	return nil
+	return err
 }
 
 // ancestorSyms returns the tag symbols on the path from the document root

@@ -25,24 +25,22 @@ var loadCrashDoc = "<bib>" + strings.Repeat(crashFragment, 100) + "</bib>"
 
 // crashWorkload opens the store through fsys, inserts a fragment, deletes
 // it again, inserts it once more (a commit that reuses the pages the delete
-// freed), and closes. Any step may fail once a fault is armed; the first
-// error aborts the rest (the process "died" there).
+// freed), deletes it once more, and closes. Any step may fail once a fault
+// is armed; the first error aborts the rest (the process "died" there).
 func crashWorkload(dir string, fsys vfs.FS) error {
 	db, err := Open(dir, &Options{FS: fsys})
 	if err != nil {
 		return err
 	}
-	if err := db.InsertFragment(dewey.Root(), strings.NewReader(crashFragment)); err != nil {
-		db.Close()
-		return err
-	}
-	if err := db.DeleteSubtree(mustID2("0.1")); err != nil {
-		db.Close()
-		return err
-	}
-	if err := db.InsertFragment(dewey.Root(), strings.NewReader(crashFragment)); err != nil {
-		db.Close()
-		return err
+	for i := 0; i < 2; i++ {
+		if err := db.InsertFragment(dewey.Root(), strings.NewReader(crashFragment)); err != nil {
+			db.Close()
+			return err
+		}
+		if err := db.DeleteSubtree(mustID2("0.1")); err != nil {
+			db.Close()
+			return err
+		}
 	}
 	return db.Close()
 }
@@ -76,12 +74,12 @@ func buildCrashBase(t *testing.T, dir string) (n0, n1 uint64) {
 }
 
 // TestCrashDuringUpdateSweep is the tentpole crash-consistency test: it
-// runs an open→insert→delete→insert→close workload once per mutating
-// file-system operation, killing the "process" at that operation, then
-// reopens the store with the real file system and requires that recovery
-// always lands on a committed state — node count and epoch of the
-// pre-insert, post-insert, post-delete or post-re-insert commit — and that
-// a deep Verify is clean.
+// runs an open→insert→delete→insert→delete→close workload once per
+// mutating file-system operation, killing the "process" at that operation,
+// then reopens the store with the real file system and requires that
+// recovery always lands on a committed state — node count and epoch of the
+// pre-insert commit or of one of the four update commits — and that a deep
+// Verify is clean.
 func TestCrashDuringUpdateSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep re-runs the workload once per fault point")
@@ -151,12 +149,13 @@ func TestCrashDuringUpdateSweep(t *testing.T) {
 					t.Errorf("node count %d after crash at op %d; want %d (pre/post-delete) or %d (post-insert)", n, i, n0, n1)
 				}
 				e := re.Epoch()
-				if e < baseEpoch || e > baseEpoch+3 {
-					t.Errorf("epoch %d after crash at op %d; want within [%d, %d]", e, i, baseEpoch, baseEpoch+3)
+				if e < baseEpoch || e > baseEpoch+4 {
+					t.Errorf("epoch %d after crash at op %d; want within [%d, %d]", e, i, baseEpoch, baseEpoch+4)
 				}
 				// The recovered epoch and the recovered content must name the
 				// same commit: epochs base+1 and base+3 are the post-insert
-				// states, base and base+2 the one-book states around them.
+				// states, base, base+2 and base+4 the one-book states around
+				// them.
 				wantN := n0
 				if (e-baseEpoch)%2 == 1 {
 					wantN = n1
@@ -182,10 +181,11 @@ func TestCrashDuringUpdateSweep(t *testing.T) {
 	}
 }
 
-// TestCrashDuringLoadSweep covers the initial bulk load: a crash at any
-// point before the manifest commit must leave a directory that Open
-// rejects cleanly with ErrNoManifest (never a half-built store that opens
-// as valid); a crash after the commit point must open and verify clean.
+// TestCrashDuringLoadSweep covers the initial bulk load, in both fault
+// modes: a crash at any point before the manifest commit must leave a
+// directory that Open rejects cleanly with ErrNoManifest (never a
+// half-built store that opens as valid); a crash after the commit point
+// must open and verify clean.
 func TestCrashDuringLoadSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweep re-runs the load once per fault point")
@@ -202,39 +202,46 @@ func TestCrashDuringLoadSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	total := counter.Ops()
-	t.Logf("sweeping %d load fault points", total)
+	t.Logf("sweeping %d load fault points × 2 modes", total)
 
-	for i := int64(1); i <= total; i++ {
-		i := i
-		t.Run(fmt.Sprintf("op%03d", i), func(t *testing.T) {
-			dir := t.TempDir() + "/db"
-			ffs := faultfs.New(vfs.OS)
-			ffs.FailAt(i, faultfs.ErrOp)
-			db, err := LoadXML(dir, strings.NewReader(loadCrashDoc), &Options{FS: ffs})
-			if err == nil {
-				err = db.Close()
+	for _, mode := range []faultfs.Mode{faultfs.ErrOp, faultfs.ShortWrite} {
+		for i := int64(1); i <= total; i++ {
+			i, mode := i, mode
+			// ErrOp subtests are named opNNN, ShortWrite ones shortwrite/opNNN.
+			name := fmt.Sprintf("op%03d", i)
+			if mode == faultfs.ShortWrite {
+				name = "shortwrite/" + name
 			}
-			if !ffs.Crashed() {
-				t.Fatalf("fault at op %d never fired (load err: %v)", i, err)
-			}
-
-			re, openErr := Open(dir, nil)
-			if openErr != nil {
-				if !errors.Is(openErr, ErrNoManifest) {
-					t.Fatalf("reopen after load crash at op %d: %v, want ErrNoManifest", i, openErr)
+			t.Run(name, func(t *testing.T) {
+				dir := t.TempDir() + "/db"
+				ffs := faultfs.New(vfs.OS)
+				ffs.FailAt(i, mode)
+				db, err := LoadXML(dir, strings.NewReader(loadCrashDoc), &Options{FS: ffs})
+				if err == nil {
+					err = db.Close()
 				}
-				return
-			}
-			// Crash after the commit point: the store must be whole.
-			defer re.Close()
-			res := re.Verify(true)
-			for _, is := range res.Issues {
-				t.Errorf("verify after load crash at op %d: %s", i, is)
-			}
-			if n := re.NodeCount(); n != wantNodes {
-				t.Errorf("node count %d after load crash at op %d, want %d", n, i, wantNodes)
-			}
-		})
+				if !ffs.Crashed() {
+					t.Fatalf("fault at op %d never fired (load err: %v)", i, err)
+				}
+
+				re, openErr := Open(dir, nil)
+				if openErr != nil {
+					if !errors.Is(openErr, ErrNoManifest) {
+						t.Fatalf("reopen after load crash at op %d: %v, want ErrNoManifest", i, openErr)
+					}
+					return
+				}
+				// Crash after the commit point: the store must be whole.
+				defer re.Close()
+				res := re.Verify(true)
+				for _, is := range res.Issues {
+					t.Errorf("verify after load crash at op %d: %s", i, is)
+				}
+				if n := re.NodeCount(); n != wantNodes {
+					t.Errorf("node count %d after load crash at op %d, want %d", n, i, wantNodes)
+				}
+			})
+		}
 	}
 }
 

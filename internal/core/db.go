@@ -60,10 +60,6 @@ const NoValue = ^uint64(0)
 type Options struct {
 	// PageSize for the string tree. Defaults to pager.DefaultPageSize.
 	PageSize int
-	// IndexPageSize for the three B+ tree files. Defaults to PageSize when
-	// that is at least 1KB (B+ tree cells need room for deep Dewey keys),
-	// otherwise to pager.DefaultPageSize.
-	IndexPageSize int
 	// PoolPages is the buffer-pool size per paged file. Defaults to 256.
 	PoolPages int
 	// ReservePct is the per-page update slack of the string tree (§4.2).
@@ -80,9 +76,6 @@ func (o *Options) withDefaults() Options {
 		if o.PageSize != 0 {
 			out.PageSize = o.PageSize
 		}
-		if o.IndexPageSize != 0 {
-			out.IndexPageSize = o.IndexPageSize
-		}
 		if o.PoolPages != 0 {
 			out.PoolPages = o.PoolPages
 		}
@@ -91,13 +84,6 @@ func (o *Options) withDefaults() Options {
 		}
 		if o.FS != nil {
 			out.FS = o.FS
-		}
-	}
-	if out.IndexPageSize == 0 {
-		if out.PageSize >= 1024 {
-			out.IndexPageSize = out.PageSize
-		} else {
-			out.IndexPageSize = pager.DefaultPageSize
 		}
 	}
 	return out
@@ -112,9 +98,10 @@ type DB struct {
 
 	dir  string
 	fsys vfs.FS
-	// poolPages is the resolved buffer-pool size; index files rebuilt by
-	// a commit open with it, like the ones Open and LoadXML open.
-	poolPages int
+	// poolPages is the resolved buffer-pool size and indexPageSize the
+	// index files' page size (LoadXML takes it from the options, Open from
+	// the committed Dewey index); every epoch's index files use both.
+	poolPages, indexPageSize int
 
 	treeFile *pager.File
 
@@ -213,6 +200,7 @@ func Open(dir string, opts *Options) (*DB, error) {
 	if v.DeweyIdx, err = btree.Open(v.dewIdxFile); err != nil {
 		return nil, err
 	}
+	db.indexPageSize = v.dewIdxFile.PageSize()
 	if v.pathIdxFile, err = pager.Open(db.path(rolePathIdx), popts()); err != nil {
 		return nil, fmt.Errorf("core: opening path index: %w", err)
 	}

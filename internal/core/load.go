@@ -2,11 +2,12 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
-	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 
 	"nok/internal/btree"
@@ -16,29 +17,30 @@ import (
 	"nok/internal/stats"
 	"nok/internal/stree"
 	"nok/internal/symtab"
-	"nok/internal/vfs"
 	"nok/internal/vstore"
 )
 
-// LoadXML bulk-loads an XML document into a new database directory. The
-// single SAX pass drives everything at once: the string-tree builder, the
-// value data file, and the three B+ trees (Figure 3).
-//
-// Attributes become child nodes whose tag carries the "@" prefix, and an
-// element's (concatenated, trimmed) text becomes its value, matching the
-// paper's subject-tree model where values are detached from structure.
+// LoadXML bulk-loads an XML document into a new database directory as the
+// store's epoch-1 commit. The single SAX pass drives the string-tree
+// builder, the value data file, the statistics synopsis, and the entry
+// runs of the four B+ trees (Figure 3); the epoch's files are then written
+// and committed exactly as every later commit writes and commits its own.
 func LoadXML(dir string, r io.Reader, opts *Options) (*DB, error) {
 	o := opts.withDefaults()
 	if err := o.FS.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	// The first committed epoch is 1; the directory holds no MANIFEST (and
-	// therefore no store) until the very last step of the load.
-	const epoch = 1
-	names := epochNames(epoch)
-	v := &Snapshot{epoch: epoch}
-	db := &DB{Snapshot: v, dir: dir, fsys: o.FS, poolPages: o.PoolPages}
-	v.db = db
+	// B+ tree cells need room for deep Dewey keys, so the indexes take the
+	// tree's page size only when it is at least 1KB.
+	idxPageSize := o.PageSize
+	if idxPageSize < 1024 {
+		idxPageSize = pager.DefaultPageSize
+	}
+	// The directory holds no MANIFEST (and therefore no store) until
+	// commitEpoch writes epoch 1's.
+	next := &Snapshot{epoch: 1, Tags: symtab.New()}
+	db := &DB{Snapshot: next, dir: dir, fsys: o.FS, poolPages: o.PoolPages, indexPageSize: idxPageSize}
+	next.db = db
 	ok := false
 	defer func() {
 		if !ok {
@@ -47,111 +49,42 @@ func LoadXML(dir string, r io.Reader, opts *Options) (*DB, error) {
 	}()
 
 	var err error
-	if db.treeFile, err = pager.Create(filepath.Join(dir, names[roleTree]),
+	if db.treeFile, err = pager.Create(db.join(fileTree),
 		&pager.Options{PageSize: o.PageSize, PoolPages: o.PoolPages, FS: o.FS}); err != nil {
 		return nil, err
 	}
 	// The tree is copy-on-write from birth: the whole bulk load runs as
-	// the epoch-1 transaction, committed at the end alongside the first
-	// manifest.
+	// the epoch-1 transaction.
 	if err := db.treeFile.InitVersioning(); err != nil {
 		return nil, err
 	}
-	if err := db.treeFile.BeginCOW(epoch); err != nil {
+	if err := db.treeFile.BeginCOW(next.epoch); err != nil {
 		return nil, err
 	}
 	builder, err := stree.NewBuilder(db.treeFile, &stree.BuilderOptions{ReservePct: o.ReservePct})
 	if err != nil {
 		return nil, err
 	}
-	v.Tags = symtab.New()
-	if v.Values, err = vstore.CreateFS(o.FS, filepath.Join(dir, names[roleValues])); err != nil {
+	if next.Values, err = vstore.CreateFS(o.FS, db.join(fileValues)); err != nil {
 		return nil, err
 	}
-	idxOpts := func() *pager.Options {
-		return &pager.Options{PageSize: o.IndexPageSize, PoolPages: o.PoolPages, FS: o.FS}
-	}
-	if v.tagIdxFile, err = pager.Create(filepath.Join(dir, names[roleTagIdx]), idxOpts()); err != nil {
-		return nil, err
-	}
-	if v.TagIdx, err = btree.Create(v.tagIdxFile); err != nil {
-		return nil, err
-	}
-	if v.valIdxFile, err = pager.Create(filepath.Join(dir, names[roleValIdx]), idxOpts()); err != nil {
-		return nil, err
-	}
-	if v.ValIdx, err = btree.Create(v.valIdxFile); err != nil {
-		return nil, err
-	}
-	if v.dewIdxFile, err = pager.Create(filepath.Join(dir, names[roleDewIdx]), idxOpts()); err != nil {
-		return nil, err
-	}
-	if v.DeweyIdx, err = btree.Create(v.dewIdxFile); err != nil {
-		return nil, err
-	}
-	if v.pathIdxFile, err = pager.Create(filepath.Join(dir, names[rolePathIdx]), idxOpts()); err != nil {
-		return nil, err
-	}
-	if v.PathIdx, err = btree.Create(v.pathIdxFile); err != nil {
-		return nil, err
-	}
-
-	loader := &loader{db: db, builder: builder, sb: stats.NewBuilder()}
-	if err := loader.run(sax.NewScanner(r)); err != nil {
-		return nil, err
-	}
-	if err := loader.flushIndexes(); err != nil {
+	l := &loader{v: next, builder: builder, sb: stats.NewBuilder()}
+	if _, err := walkSubjectTree(r, l.open, l.close, func(line int) error {
+		return fmt.Errorf("core: multiple root elements (line %d)", line)
+	}); err != nil {
 		return nil, err
 	}
 	wtree, err := builder.Finish()
 	if err != nil {
 		return nil, err
 	}
-	if err := v.Tags.SaveFS(o.FS, filepath.Join(dir, names[roleTags])); err != nil {
+	next.syn = l.sb.Finish(next.epoch, uint64(wtree.NumPages()))
+	if err := db.writeEpochFiles(next, &l.ents); err != nil {
 		return nil, err
 	}
-	// The statistics synopsis was collected by the same SAX pass; it is
-	// committed through the manifest like every other store file.
-	v.syn = loader.sb.Finish(epoch, uint64(wtree.NumPages()))
-	if err := vfs.WriteFileAtomic(o.FS, filepath.Join(dir, names[roleSynopsis]), stats.Encode(v.syn), 0o644); err != nil {
+	if _, err := db.commitEpoch(next, wtree); err != nil {
 		return nil, err
 	}
-	// Make everything durable, then commit the store into existence:
-	// seal the epoch-1 copy-on-write transaction, write its page-table
-	// sidecar, and write the first manifest.
-	for _, t := range []*btree.Tree{v.TagIdx, v.ValIdx, v.DeweyIdx, v.PathIdx} {
-		if err := t.Flush(); err != nil {
-			return nil, err
-		}
-	}
-	if err := v.Values.Flush(); err != nil {
-		return nil, err
-	}
-	side, err := db.treeFile.SealCOW()
-	if err != nil {
-		return nil, err
-	}
-	if err := vfs.WriteFileAtomic(o.FS, filepath.Join(dir, names[roleTreeMap]), side, 0o644); err != nil {
-		return nil, err
-	}
-	m, err := buildManifest(o.FS, dir, epoch, names)
-	if err != nil {
-		return nil, err
-	}
-	if err := writeManifest(o.FS, dir, m); err != nil {
-		return nil, err
-	}
-	if _, err := db.treeFile.Publish(); err != nil {
-		return nil, err
-	}
-	psn, err := db.treeFile.Acquire()
-	if err != nil {
-		return nil, err
-	}
-	v.psn = psn
-	v.Tree = wtree.Snapshot(psn)
-	db.manifest = m
-	v.publish()
 	ok = true
 	return db, nil
 }
@@ -166,84 +99,83 @@ func LoadXMLFile(dir, xmlPath string, opts *Options) (*DB, error) {
 	return LoadXML(dir, f, opts)
 }
 
-// openElem tracks one element between its start and end events.
-type openElem struct {
-	pos      stree.Pos
-	sym      symtab.Sym
-	id       dewey.ID
-	pathHash uint64
-	text     strings.Builder
-	kids     uint32
-}
-
-// indexEntry is one deferred B+ tree insertion. Index entries are buffered
-// during the SAX pass and bulk-inserted in ascending key order afterwards:
-// sorted insertion hits the tree's rightmost-split heuristic, producing
-// near-full pages (about half the size of random-order builds). For
-// documents too large to buffer ~100 bytes per node, an external sort
-// would take this place.
-type indexEntry struct {
-	key, val []byte
-}
-
-type loader struct {
-	db      *DB
-	builder *stree.Builder
-	sb      *stats.Builder
-	stack   []*openElem
-
-	tagEntries   []indexEntry
-	valEntries   []indexEntry
-	deweyEntries []indexEntry
-	pathEntries  []indexEntry
-}
-
-func (l *loader) run(sc *sax.Scanner) error {
-	rootSeen := false
+// walkSubjectTree reads one XML document or fragment through the paper's
+// subject-tree model, where values are detached from structure: an
+// attribute becomes a child node whose tag carries the "@" prefix and whose
+// value is the attribute's exact text, and an element's value is its
+// concatenated, trimmed text. open is called as each node starts and
+// close, with the node's value, as it ends. A second root element fails
+// with the error multiRoot returns for its line; rooted reports whether
+// any root element was seen.
+func walkSubjectTree(r io.Reader, open func(name string) error, close func(text string) error,
+	multiRoot func(line int) error) (rooted bool, err error) {
+	sc := sax.NewScanner(r)
+	var texts [][]byte // the text collected so far by each open element
 	for {
 		ev, err := sc.Next()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
-			return err
+			return rooted, err
 		}
 		switch ev.Kind {
 		case sax.StartElement:
-			if len(l.stack) == 0 && rootSeen {
-				return fmt.Errorf("core: multiple root elements (line %d)", ev.Line)
+			if len(texts) == 0 && rooted {
+				return rooted, multiRoot(ev.Line)
 			}
-			rootSeen = true
-			if err := l.open(ev.Name); err != nil {
-				return err
+			rooted = true
+			if err := open(ev.Name); err != nil {
+				return rooted, err
 			}
+			texts = append(texts, nil)
 			for _, a := range ev.Attrs {
-				if err := l.open(symtab.AttrPrefix + a.Name); err != nil {
-					return err
+				if err := open(symtab.AttrPrefix + a.Name); err != nil {
+					return rooted, err
 				}
-				l.stack[len(l.stack)-1].text.WriteString(a.Value)
-				if err := l.close(false); err != nil {
-					return err
+				if err := close(a.Value); err != nil {
+					return rooted, err
 				}
 			}
 		case sax.EndElement:
-			if err := l.close(true); err != nil {
-				return err
+			text := strings.TrimSpace(string(texts[len(texts)-1]))
+			texts = texts[:len(texts)-1]
+			if err := close(text); err != nil {
+				return rooted, err
 			}
 		case sax.Text:
-			if len(l.stack) > 0 {
-				l.stack[len(l.stack)-1].text.WriteString(ev.Data)
+			if len(texts) > 0 {
+				texts[len(texts)-1] = append(texts[len(texts)-1], ev.Data...)
 			}
 		}
 	}
-	if len(l.stack) != 0 {
-		return fmt.Errorf("core: document ended with %d open element(s)", len(l.stack))
+	if len(texts) != 0 {
+		return rooted, fmt.Errorf("core: document ended with %d open element(s)", len(texts))
 	}
-	return nil
+	return rooted, nil
+}
+
+// openElem tracks one element between its start and end events.
+type openElem struct {
+	pos      stree.Pos
+	sym      symtab.Sym
+	id       dewey.ID
+	pathHash uint64
+	kids     uint32
+}
+
+// loader feeds the load's subject-tree walk into the string-tree builder,
+// the value file, the synopsis builder and the index entry runs.
+type loader struct {
+	v       *Snapshot
+	builder *stree.Builder
+	sb      *stats.Builder
+	stack   []openElem
+	ents    indexEntries
 }
 
 func (l *loader) open(name string) error {
-	sym, err := l.db.Tags.Intern(name)
+	sym, err := l.v.Tags.Intern(name)
 	if err != nil {
 		return err
 	}
@@ -251,71 +183,93 @@ func (l *loader) open(name string) error {
 	if err != nil {
 		return err
 	}
-	e := &openElem{pos: pos, sym: sym}
-	if len(l.stack) == 0 {
-		e.id = dewey.Root()
-		e.pathHash = extendPathHash(pathHashSeed, sym)
-	} else {
-		parent := l.stack[len(l.stack)-1]
+	e := openElem{pos: pos, sym: sym, id: dewey.Root(), pathHash: extendPathHash(pathHashSeed, sym)}
+	if len(l.stack) > 0 {
+		parent := &l.stack[len(l.stack)-1]
 		parent.kids++
 		e.id = parent.id.Child(parent.kids)
 		e.pathHash = extendPathHash(parent.pathHash, sym)
 	}
 	l.stack = append(l.stack, e)
 	l.sb.Node(sym, len(l.stack))
-	l.tagEntries = append(l.tagEntries, indexEntry{tagKey(sym, e.id), encodePos(pos)})
-	l.pathEntries = append(l.pathEntries, indexEntry{pathKey(e.pathHash, e.id), encodePos(pos)})
 	return nil
 }
 
 // close finishes the innermost element: emits the close token, stores its
-// value (trimmed; attributes keep their exact value), and writes the value
-// and Dewey index entries.
-func (l *loader) close(trim bool) error {
+// value, and buffers the element's index entries.
+func (l *loader) close(text string) error {
 	if err := l.builder.Close(); err != nil {
 		return err
 	}
 	e := l.stack[len(l.stack)-1]
 	l.stack = l.stack[:len(l.stack)-1]
-
-	text := e.text.String()
-	if trim {
-		text = strings.TrimSpace(text)
-	}
-	valOff := NoValue
+	valOff, valHash := NoValue, uint64(0)
 	if text != "" {
-		off, err := l.db.Values.Append([]byte(text))
+		off, err := l.v.Values.Append([]byte(text))
 		if err != nil {
 			return err
 		}
-		valOff = uint64(off)
-		l.sb.Value(len(l.stack)+1, vstore.Hash([]byte(text)))
-		l.valEntries = append(l.valEntries, indexEntry{valKey(vstore.Hash([]byte(text)), e.id), encodePos(e.pos)})
+		valOff, valHash = uint64(off), vstore.Hash([]byte(text))
+		l.sb.Value(len(l.stack)+1, valHash)
 	}
-	l.deweyEntries = append(l.deweyEntries, indexEntry{e.id.Bytes(), deweyVal(e.pos, valOff)})
+	l.ents.addNode(e.sym, e.pathHash, e.id, e.pos, valOff, valHash)
 	return nil
 }
 
-// flushIndexes sorts the buffered entries and bulk-inserts them.
-func (l *loader) flushIndexes() error {
-	for _, batch := range []struct {
-		tree    *btree.Tree
-		entries []indexEntry
-	}{
-		{l.db.TagIdx, l.tagEntries},
-		{l.db.ValIdx, l.valEntries},
-		{l.db.DeweyIdx, l.deweyEntries},
-		{l.db.PathIdx, l.pathEntries},
-	} {
-		sort.Slice(batch.entries, func(i, j int) bool {
-			return bytes.Compare(batch.entries[i].key, batch.entries[j].key) < 0
-		})
-		for _, e := range batch.entries {
-			if err := batch.tree.Insert(e.key, e.val); err != nil {
-				return err
-			}
+// indexEntries buffers one epoch's index entries, one run per B+ tree,
+// until writeEpochFiles inserts each run in ascending key order. Sorted
+// insertion hits the tree's rightmost-split heuristic, producing near-full
+// pages (about half the size of random-order builds). For stores too large
+// to buffer every entry in memory, an external sort would take this place.
+type indexEntries struct {
+	tag, val, dewey, path indexRun
+}
+
+// addNode buffers one node's entries. valOff is NoValue for a node without
+// a value, which then has no value-index entry and valHash is ignored.
+func (e *indexEntries) addNode(sym symtab.Sym, pathHash uint64, id dewey.ID, pos stree.Pos, valOff, valHash uint64) {
+	p := encodePos(pos)
+	e.tag.add(tagKey(sym, id), p)
+	e.path.add(pathKey(pathHash, id), p)
+	if valOff != NoValue {
+		e.val.add(valKey(valHash, id), p)
+	}
+	e.dewey.add(id.Bytes(), deweyVal(pos, valOff))
+}
+
+// indexRun holds one B+ tree's entries as key‖value records back to back
+// in a single arena, located by recs.
+type indexRun struct {
+	arena []byte
+	recs  []indexRec
+}
+
+// indexRec locates one record: its key is arena[off:off+klen], its value
+// the vlen bytes after the key.
+type indexRec struct {
+	off        uint32
+	klen, vlen uint16
+}
+
+func (r *indexRun) add(key, val []byte) {
+	r.recs = append(r.recs, indexRec{off: uint32(len(r.arena)), klen: uint16(len(key)), vlen: uint16(len(val))})
+	r.arena = append(append(r.arena, key...), val...)
+}
+
+// build sorts the run by key, inserts it into t, flushes t, and drops the
+// run's memory.
+func (r *indexRun) build(t *btree.Tree) error {
+	if uint64(len(r.arena)) > math.MaxUint32 {
+		return errors.New("core: index entries exceed the 4 GiB a run can address")
+	}
+	key := func(x indexRec) []byte { return r.arena[x.off : int(x.off)+int(x.klen)] }
+	slices.SortFunc(r.recs, func(a, b indexRec) int { return bytes.Compare(key(a), key(b)) })
+	for _, x := range r.recs {
+		end := int(x.off) + int(x.klen)
+		if err := t.Insert(r.arena[x.off:end], r.arena[end:end+int(x.vlen)]); err != nil {
+			return err
 		}
 	}
-	l.tagEntries, l.valEntries, l.deweyEntries, l.pathEntries = nil, nil, nil, nil
-	return nil
+	*r = indexRun{}
+	return t.Flush()
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"path/filepath"
 
 	"nok/internal/btree"
 	"nok/internal/dewey"
@@ -22,10 +21,11 @@ import (
 // the Dewey index carry physical positions, which shift wholesale when
 // tokens move; as the paper concedes, "due to the nature of Dewey IDs, the
 // node ID B+ tree may need to be reconstructed if many IDs have been
-// updated". We reconstruct the three B+ trees after every fragment-level
+// updated". We reconstruct the four B+ trees after every fragment-level
 // update: value data stays in place (the data file is append-only), the
 // dewey→value association is carried over in memory, and a single scan of
-// the updated string tree rebuilds the position-bearing entries.
+// the updated string tree collects the position-bearing entries into
+// sorted runs, built exactly as the initial load builds its indexes.
 //
 // Every update is one atomic commit that never blocks readers (MVCC via
 // shadow paging, see internal/pager/versions.go and snapshot.go):
@@ -160,14 +160,14 @@ func (db *DB) abortUpdate(newEpoch uint64, cause error) error {
 
 // commitEpoch makes every file durable, writes the new epoch's page-table
 // sidecar, switches the MANIFEST (the commit point), and publishes the new
-// Snapshot. The previous view is retired: it keeps serving its pinned
-// readers and is destroyed — files deleted, pages recycled — when the last
-// one releases. committed reports whether the commit point was passed;
-// when false the caller can still abort cleanly.
+// Snapshot. The previous view, when one was published (the load's epoch 1
+// has none), is retired: it keeps serving its pinned readers and is
+// destroyed — files deleted, pages recycled — when the last one releases.
+// committed reports whether the commit point was passed; when false the
+// caller can still abort cleanly.
 func (db *DB) commitEpoch(next *Snapshot, wtree *stree.Store) (committed bool, err error) {
-	newEpoch := next.epoch
-	names := epochNames(newEpoch)
-	if err := db.Values.Flush(); err != nil {
+	names := epochNames(next.epoch)
+	if err := next.Values.Flush(); err != nil {
 		return false, err
 	}
 	// Seal flushes and fsyncs every copy-on-write page, then serializes
@@ -179,7 +179,7 @@ func (db *DB) commitEpoch(next *Snapshot, wtree *stree.Store) (committed bool, e
 	if err := vfs.WriteFileAtomic(db.fsys, db.join(names[roleTreeMap]), side, 0o644); err != nil {
 		return false, err
 	}
-	m, err := buildManifest(db.fsys, db.dir, newEpoch, names)
+	m, err := buildManifest(db.fsys, db.dir, next.epoch, names)
 	if err != nil {
 		return false, err
 	}
@@ -199,18 +199,19 @@ func (db *DB) commitEpoch(next *Snapshot, wtree *stree.Store) (committed bool, e
 	next.psn = psn
 	next.Tree = wtree.Snapshot(psn)
 
-	// Hand the set of superseded files to the retiring view; they are
-	// deleted when its last reader drains, not before.
-	prev := db.Snapshot
-	for role, newName := range names {
-		if old := db.manifest.Files[role].Name; old != "" && old != newName {
-			prev.obsolete = append(prev.obsolete, old)
-		}
-	}
-	db.Snapshot = next
-	db.manifest = m
+	prev, prevManifest := db.Snapshot, db.manifest
+	db.Snapshot, db.manifest = next, m
 	next.publish()
-	prev.Release() // drop the DB's "current" reference on the old view
+	if prevManifest != nil {
+		// Hand the set of superseded files to the retiring view; they are
+		// deleted when its last reader drains, not before.
+		for role, newName := range names {
+			if old := prevManifest.Files[role].Name; old != newName {
+				prev.obsolete = append(prev.obsolete, old)
+			}
+		}
+		prev.Release() // drop the DB's "current" reference on the old view
+	}
 	return true, nil
 }
 
@@ -278,116 +279,91 @@ func prefixEq(id, other dewey.ID, n int) bool {
 	return true
 }
 
-// rebuildIndexes recreates the four B+ trees (and the symbol and synopsis
-// files) from a scan of the already-mutated writer tree into
-// fresh files named for next.epoch, filling next's in-memory state. The
+// rebuildIndexes collects next's index entries from a scan of the
+// already-mutated writer tree and writes them, with the symbols and the
+// synopsis, into fresh files named for next.epoch (writeEpochFiles). The
 // previous epoch's files and open handles are untouched — they remain the
 // committed state readers are using. valOffByDewey carries the value
 // associations. When preSyn is non-nil it is stamped with the new epoch
 // and committed as the synopsis, and the scan skips statistics
 // collection; otherwise the synopsis is rebuilt from the scan.
 func (db *DB) rebuildIndexes(next *Snapshot, wtree *stree.Store, valOffByDewey map[string]uint64, preSyn *stats.Synopsis) error {
-	newEpoch := next.epoch
-	// The new index files keep the committed ones' page size and the pool
-	// size the store was opened with.
-	pageSize := db.Snapshot.dewIdxFile.PageSize()
-	idxOpts := func() *pager.Options {
-		return &pager.Options{PageSize: pageSize, PoolPages: db.poolPages, FS: db.fsys}
-	}
-	var err error
-	if next.tagIdxFile, err = pager.Create(db.join(epochFileName(roleTagIdx, newEpoch)), idxOpts()); err != nil {
-		return err
-	}
-	if next.TagIdx, err = btree.Create(next.tagIdxFile); err != nil {
-		return err
-	}
-	if next.valIdxFile, err = pager.Create(db.join(epochFileName(roleValIdx, newEpoch)), idxOpts()); err != nil {
-		return err
-	}
-	if next.ValIdx, err = btree.Create(next.valIdxFile); err != nil {
-		return err
-	}
-	if next.dewIdxFile, err = pager.Create(db.join(epochFileName(roleDewIdx, newEpoch)), idxOpts()); err != nil {
-		return err
-	}
-	if next.DeweyIdx, err = btree.Create(next.dewIdxFile); err != nil {
-		return err
-	}
-	if next.pathIdxFile, err = pager.Create(db.join(epochFileName(rolePathIdx, newEpoch)), idxOpts()); err != nil {
-		return err
-	}
-	if next.PathIdx, err = btree.Create(next.pathIdxFile); err != nil {
-		return err
-	}
-
 	var sb *stats.Builder
 	if preSyn == nil {
 		sb = stats.NewBuilder()
 	}
+	var ents indexEntries
 	// hashStack[d] is the path hash of the current open element at depth d
 	// (root depth 1); hashStack[0] is the seed.
 	hashStack := []uint64{pathHashSeed}
 	var scanErr error
-	err = wtree.Scan(func(pos stree.Pos, sym symtab.Sym, level int, id dewey.ID) bool {
+	err := wtree.Scan(func(pos stree.Pos, sym symtab.Sym, level int, id dewey.ID) bool {
 		if sb != nil {
 			sb.Node(sym, level)
 		}
 		h := extendPathHash(hashStack[level-1], sym)
 		hashStack = append(hashStack[:level], h)
-		if err := next.PathIdx.Insert(pathKey(h, id), encodePos(pos)); err != nil {
-			scanErr = err
-			return false
-		}
-		if err := next.TagIdx.Insert(tagKey(sym, id), encodePos(pos)); err != nil {
-			scanErr = err
-			return false
-		}
-		valOff := NoValue
+		valOff, valHash := NoValue, uint64(0)
 		if off, ok := valOffByDewey[id.String()]; ok {
-			valOff = off
-			v, err := db.Values.Get(int64(off))
+			v, err := next.Values.Get(int64(off))
 			if err != nil {
 				scanErr = err
 				return false
 			}
+			valOff, valHash = off, vstore.Hash(v)
 			if sb != nil {
-				sb.Value(level, vstore.Hash(v))
-			}
-			if err := next.ValIdx.Insert(valKey(vstore.Hash(v), id), encodePos(pos)); err != nil {
-				scanErr = err
-				return false
+				sb.Value(level, valHash)
 			}
 		}
-		if err := next.DeweyIdx.Insert(id.Bytes(), deweyVal(pos, valOff)); err != nil {
-			scanErr = err
-			return false
-		}
+		ents.addNode(sym, h, id, pos, valOff, valHash)
 		return true
 	})
+	if err == nil {
+		err = scanErr
+	}
 	if err != nil {
 		return err
 	}
-	if scanErr != nil {
-		return scanErr
-	}
-	if err := next.Tags.SaveFS(db.fsys, filepath.Join(db.dir, epochFileName(roleTags, newEpoch))); err != nil {
-		return err
-	}
 	if preSyn != nil {
-		preSyn.Epoch = newEpoch
+		preSyn.Epoch = next.epoch
 		preSyn.TreePages = uint64(wtree.NumPages())
 		next.syn = preSyn
 	} else {
-		next.syn = sb.Finish(newEpoch, uint64(wtree.NumPages()))
+		next.syn = sb.Finish(next.epoch, uint64(wtree.NumPages()))
 	}
-	if err := vfs.WriteFileAtomic(db.fsys,
-		filepath.Join(db.dir, epochFileName(roleSynopsis, newEpoch)), stats.Encode(next.syn), 0o644); err != nil {
-		return err
-	}
-	for _, t := range []*btree.Tree{next.TagIdx, next.ValIdx, next.DeweyIdx, next.PathIdx} {
-		if err := t.Flush(); err != nil {
+	return db.writeEpochFiles(next, &ents)
+}
+
+// writeEpochFiles writes next's derived files under its epoch's names: the
+// four index files, each built from its sorted run of ents, then the
+// symbol table and the synopsis next.syn.
+func (db *DB) writeEpochFiles(next *Snapshot, ents *indexEntries) error {
+	for _, ix := range []struct {
+		role string
+		pf   **pager.File
+		tree **btree.Tree
+		run  *indexRun
+	}{
+		{roleTagIdx, &next.tagIdxFile, &next.TagIdx, &ents.tag},
+		{roleValIdx, &next.valIdxFile, &next.ValIdx, &ents.val},
+		{roleDewIdx, &next.dewIdxFile, &next.DeweyIdx, &ents.dewey},
+		{rolePathIdx, &next.pathIdxFile, &next.PathIdx, &ents.path},
+	} {
+		pf, err := pager.Create(db.join(epochFileName(ix.role, next.epoch)),
+			&pager.Options{PageSize: db.indexPageSize, PoolPages: db.poolPages, FS: db.fsys})
+		if err != nil {
+			return err
+		}
+		*ix.pf = pf
+		if *ix.tree, err = btree.Create(pf); err != nil {
+			return err
+		}
+		if err := ix.run.build(*ix.tree); err != nil {
 			return err
 		}
 	}
-	return db.Values.Flush()
+	if err := next.Tags.SaveFS(db.fsys, db.join(epochFileName(roleTags, next.epoch))); err != nil {
+		return err
+	}
+	return vfs.WriteFileAtomic(db.fsys, db.join(epochFileName(roleSynopsis, next.epoch)), stats.Encode(next.syn), 0o644)
 }

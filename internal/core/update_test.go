@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"io"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -135,11 +137,11 @@ func TestUpdateThenPersist(t *testing.T) {
 }
 
 // TestIndexOptionsSurviveCommit: the index files a commit rebuilds keep
-// the store's index page size and the pool size it was opened with,
-// across commits and reopens alike.
+// the store's index page size (the tree's, when at least 1KB) and the pool
+// size it was opened with, across commits and reopens alike.
 func TestIndexOptionsSurviveCommit(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "db")
-	opts := &Options{PoolPages: 16, IndexPageSize: 2048}
+	opts := &Options{PageSize: 2048, PoolPages: 16}
 	check := func(db *DB, when string) {
 		t.Helper()
 		for _, f := range []struct {
@@ -183,4 +185,55 @@ func TestIndexOptionsSurviveCommit(t *testing.T) {
 	check(db, "after reopen")
 	commit(db)
 	check(db, "after commit on the reopened store")
+}
+
+// TestCommitKeepsIndexesPacked: a commit builds its indexes from sorted
+// runs, as the load does, so after an append or a delete commit each index
+// file is within one page of a fresh load of the same document. Indexes
+// filled in scan order leave most tag- and path-index leaves half empty.
+func TestCommitKeepsIndexesPacked(t *testing.T) {
+	const n = 600
+	var recs []string
+	for i := 0; i < n; i++ {
+		recs = append(recs, fmt.Sprintf(`<rec id="r%d"><title>title %d</title><author>author %d</author><year>%d</year></rec>`,
+			i, i, i%37, 1950+i%70))
+	}
+	doc := func(recs []string) string { return "<bib>" + strings.Join(recs, "") + "</bib>" }
+	check := func(t *testing.T, db *DB, want string) {
+		t.Helper()
+		fresh := loadDB(t, want, nil)
+		page := int64(fresh.dewIdxFile.PageSize())
+		for _, role := range []string{roleTagIdx, roleValIdx, roleDewIdx, rolePathIdx} {
+			got, err := db.fsys.Stat(db.path(role))
+			if err != nil {
+				t.Fatal(err)
+			}
+			w, err := fresh.fsys.Stat(fresh.path(role))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := got.Size() - w.Size(); d > page || d < -page {
+				t.Errorf("%s: %d bytes after the commit, %d after a fresh load", role, got.Size(), w.Size())
+			}
+		}
+	}
+
+	t.Run("append", func(t *testing.T) {
+		db := loadDB(t, doc(recs[:n-100]), nil)
+		frags := make([]io.Reader, 100)
+		for i := range frags {
+			frags[i] = strings.NewReader(recs[n-100+i])
+		}
+		if err := db.InsertFragmentBatch(dewey.Root(), frags); err != nil {
+			t.Fatal(err)
+		}
+		check(t, db, doc(recs))
+	})
+	t.Run("delete", func(t *testing.T) {
+		db := loadDB(t, doc(recs), nil)
+		if err := db.DeleteSubtree(mustID(t, "0.1")); err != nil {
+			t.Fatal(err)
+		}
+		check(t, db, doc(recs[1:]))
+	})
 }

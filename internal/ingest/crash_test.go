@@ -35,12 +35,15 @@ func (t coreTarget) Epoch() uint64 { return t.db.Epoch() }
 
 const ingestCrashDoc = `<col><doc n="seed"><v>0</v></doc></col>`
 
-// ingestCrashWorkload opens the store through fsys and streams three
-// deterministic 3-document batches through a pipeline (BatchDocs 4 and a
-// huge interval mean only the Flush barriers trigger commits, so the
-// file-system op sequence is identical on every run). Any step may fail
-// once a fault is armed; the first error aborts the rest (the process
-// "died" there).
+// crashBatches is how many group commits the ingest crash workload makes.
+const crashBatches = 4
+
+// ingestCrashWorkload opens the store through fsys and streams
+// crashBatches deterministic 3-document batches through a pipeline
+// (BatchDocs 4 and a huge interval mean only the Flush barriers trigger
+// commits, so the file-system op sequence is identical on every run). Any
+// step may fail once a fault is armed; the first error aborts the rest
+// (the process "died" there).
 func ingestCrashWorkload(dir string, fsys vfs.FS) error {
 	db, err := core.Open(dir, &core.Options{FS: fsys})
 	if err != nil {
@@ -48,7 +51,7 @@ func ingestCrashWorkload(dir string, fsys vfs.FS) error {
 	}
 	p := NewPipeline(coreTarget{db}, Options{BatchDocs: 4, BatchInterval: time.Hour})
 	werr := func() error {
-		for batch := 0; batch < 3; batch++ {
+		for batch := 0; batch < crashBatches; batch++ {
 			for i := 0; i < 3; i++ {
 				doc := fmt.Sprintf(`<doc n="c%d"><v>x</v></doc>`, batch*3+i)
 				if err := p.Submit([]byte(doc)); err != nil {
@@ -73,9 +76,9 @@ func ingestCrashWorkload(dir string, fsys vfs.FS) error {
 }
 
 // TestCrashIngestSweep kills the "process" at every mutating file-system
-// operation of a three-batch ingest and requires that recovery always lands
-// on a committed batch boundary: node count and epoch of the base or of one
-// of the three post-batch commits, agreeing with each other, with
+// operation of a crashBatches-batch ingest and requires that recovery always
+// lands on a committed batch boundary: node count and epoch of the base or
+// of one of the post-batch commits, agreeing with each other, with
 // a clean deep Verify, no MVCC debris, and — the ingest-specific
 // obligation — a synopsis that matches the recovered store exactly, so the
 // planner is never left with stale statistics after a crash mid-stream.
@@ -84,7 +87,7 @@ func TestCrashIngestSweep(t *testing.T) {
 		t.Skip("sweep re-runs the ingest workload once per fault point")
 	}
 
-	// Probe run: record the four committed states and the op count.
+	// Probe run: record the committed states and the op count.
 	probe := t.TempDir() + "/probe"
 	db, err := core.LoadXML(probe, strings.NewReader(ingestCrashDoc), nil)
 	if err != nil {
@@ -106,20 +109,24 @@ func TestCrashIngestSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n3 := db.NodeCount()
-	if got := db.Epoch(); got != baseEpoch+3 {
-		t.Fatalf("probe ended on epoch %d, want %d (exactly three group commits)", got, baseEpoch+3)
+	nEnd := db.NodeCount()
+	if got := db.Epoch(); got != baseEpoch+crashBatches {
+		t.Fatalf("probe ended on epoch %d, want %d (exactly %d group commits)", got, baseEpoch+crashBatches, crashBatches)
 	}
-	// All batches are the same shape, so each adds a third of the nodes.
-	if (n3-n0)%3 != 0 {
-		t.Fatalf("three equal batches added %d nodes, not a multiple of 3", n3-n0)
+	// All batches are the same shape, so each adds an equal share of the
+	// nodes.
+	if (nEnd-n0)%crashBatches != 0 {
+		t.Fatalf("%d equal batches added %d nodes, not a multiple of %d", crashBatches, nEnd-n0, crashBatches)
 	}
-	per := (n3 - n0) / 3
+	per := (nEnd - n0) / crashBatches
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	wantNodes := map[uint64]uint64{baseEpoch: n0, baseEpoch + 1: n0 + per, baseEpoch + 2: n0 + 2*per, baseEpoch + 3: n3}
-	t.Logf("sweeping %d fault points × 2 modes (n0=%d n3=%d per batch=%d baseEpoch=%d)", total, n0, n3, per, baseEpoch)
+	wantNodes := map[uint64]uint64{}
+	for b := uint64(0); b <= crashBatches; b++ {
+		wantNodes[baseEpoch+b] = n0 + b*per
+	}
+	t.Logf("sweeping %d fault points × 2 modes (n0=%d nEnd=%d per batch=%d baseEpoch=%d)", total, n0, nEnd, per, baseEpoch)
 
 	for _, mode := range []faultfs.Mode{faultfs.ErrOp, faultfs.ShortWrite} {
 		modeName := map[faultfs.Mode]string{faultfs.ErrOp: "errop", faultfs.ShortWrite: "shortwrite"}[mode]
@@ -157,7 +164,7 @@ func TestCrashIngestSweep(t *testing.T) {
 				e := re.Epoch()
 				want, ok := wantNodes[e]
 				if !ok {
-					t.Fatalf("epoch %d after crash at op %d; want within [%d, %d]", e, i, baseEpoch, baseEpoch+3)
+					t.Fatalf("epoch %d after crash at op %d; want within [%d, %d]", e, i, baseEpoch, baseEpoch+crashBatches)
 				}
 				if n := re.NodeCount(); n != want {
 					t.Errorf("epoch %d with node count %d after crash at op %d; want %d — recovery landed between batch boundaries", e, n, i, want)

@@ -11,7 +11,7 @@
 //     2-byte symbol per start tag, one byte per end tag, with per-page
 //     (st, lo, hi) level summaries that let navigation skip pages;
 //   - an out-of-line value data file;
-//   - three B+ trees (tag-name, hashed-value, and Dewey-ID indexes).
+//   - four B+ trees (tag-name, hashed-value, Dewey-ID, and path indexes).
 //
 // Path queries (a practical XPath fragment: '/', '//', '*', '@attr',
 // predicates with value comparisons, following-sibling) are evaluated by
